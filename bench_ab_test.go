@@ -8,16 +8,23 @@ import (
 	"bmx/internal/obs"
 )
 
-// readBench loads a committed benchmark envelope from the repo root.
-func readBench(t *testing.T, path string) obs.BenchSummary {
+// readBench loads a committed benchmark envelope by its artifact name from
+// BENCH_REF.json, the regression-gate reference, which embeds every
+// deterministic simnet envelope keyed by filename. The per-run BENCH_*.json
+// artifacts are not committed, so the tests read the reference copy.
+func readBench(t *testing.T, name string) obs.BenchSummary {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile("BENCH_REF.json")
 	if err != nil {
-		t.Fatalf("committed envelope missing (run `make bench-json-sim`): %v", err)
+		t.Fatalf("committed reference missing: %v", err)
 	}
-	var b obs.BenchSummary
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatalf("%s: %v", path, err)
+	var ref map[string]obs.BenchSummary
+	if err := json.Unmarshal(raw, &ref); err != nil {
+		t.Fatalf("BENCH_REF.json: %v", err)
+	}
+	b, ok := ref[name]
+	if !ok {
+		t.Fatalf("BENCH_REF.json has no %s envelope (refresh it with `make bench-ref`)", name)
 	}
 	return b
 }
@@ -27,8 +34,9 @@ func readBench(t *testing.T, path string) obs.BenchSummary {
 // migration plus the remote-acquire fast path must strictly lower the
 // remote-access ratio and the owner-chain hops paid per acquire, without
 // costing messages per mutator op. The envelopes are regenerated together
-// by `make bench-json-sim` (deterministic simnet), so a protocol change
-// that erodes the win fails here before the CI gate sees it.
+// by `make bench-json-sim` (deterministic simnet) and committed through
+// `make bench-ref`, so a protocol change that erodes the win fails here
+// once the reference is refreshed, and in the CI gate before that.
 func TestMigrationBenchBeatsBaseline(t *testing.T) {
 	base := readBench(t, "BENCH_9_zipf.json")
 	mig := readBench(t, "BENCH_10_zipf_migrate.json")

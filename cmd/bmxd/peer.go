@@ -93,6 +93,13 @@ func runPeerCluster(o peerOpts) {
 		cl.Observer().SetRingSize(1 << 16)
 		cl.EnableTracing()
 	}
+	// A follower serves control calls before it waits for the mesh: the
+	// seed starts driving as soon as every node is connected, which may be
+	// before this process has finished its own readiness wait.
+	var done, tick <-chan struct{}
+	if !p.IsSeed() {
+		done, tick = serveControl(p)
+	}
 	if err := p.WaitReady(30 * time.Second); err != nil {
 		fatalf("bmxd: node %v: %v", p.ID(), err)
 	}
@@ -100,19 +107,20 @@ func runPeerCluster(o peerOpts) {
 	if p.IsSeed() {
 		drivePeerCluster(p, o)
 	} else {
-		followPeerCluster(p, o)
+		followPeerCluster(p, o, done, tick)
 	}
 }
 
-// followPeerCluster serves ctl calls until the seed says shutdown, then
-// audits its own counters, writes its trace and exits.
-func followPeerCluster(p *bmx.Peer, o peerOpts) {
+// serveControl installs a follower's handler for the seed's ctl calls. The
+// handler signals tick on every call and closes done once the seed says
+// shutdown.
+func serveControl(p *bmx.Peer) (done, tick <-chan struct{}) {
 	n := p.Node()
-	done := make(chan struct{})
-	tick := make(chan struct{}, 1)
+	doneC := make(chan struct{})
+	tickC := make(chan struct{}, 1)
 	p.SetControl(func(m transport.Msg) (any, int, error) {
 		select {
-		case tick <- struct{}{}:
+		case tickC <- struct{}{}:
 		default:
 		}
 		switch m.Kind {
@@ -156,12 +164,18 @@ func followPeerCluster(p *bmx.Peer, o peerOpts) {
 			// queue after this handler returns.
 			go func() {
 				time.Sleep(250 * time.Millisecond)
-				close(done)
+				close(doneC)
 			}()
 			return ctlAck{}, 8, nil
 		}
 		return nil, 0, fmt.Errorf("bmxd: unknown ctl kind %q", m.Kind)
 	})
+	return doneC, tickC
+}
+
+// followPeerCluster waits on the control handler until the seed says
+// shutdown, then audits its own counters, writes its trace and exits.
+func followPeerCluster(p *bmx.Peer, o peerOpts, done, tick <-chan struct{}) {
 	// The seed drives every step and fatals on its own errors without
 	// saying goodbye; prolonged silence means it is gone, and wedging here
 	// forever would hang any harness waiting on this process.

@@ -37,7 +37,7 @@ import (
 func TokenCollectBunch(nd *cluster.Node, b addr.BunchID) (core.CollectStats, error) {
 	col := nd.Collector()
 	for _, o := range col.LiveOIDs(b) {
-		if err := nd.DSM().Acquire(o, dsm.ModeWrite, simnet.ClassGC); err != nil {
+		if err := nd.AcquireAsCollector(cluster.Ref{OID: o}, dsm.ModeWrite); err != nil {
 			return core.CollectStats{}, err
 		}
 	}
@@ -67,7 +67,7 @@ func StrongCollectAll(cl *cluster.Cluster) (StrongStats, error) {
 		nd := cl.Node(i)
 		for _, b := range nd.Collector().MappedBunches() {
 			for _, o := range nd.Collector().LiveOIDs(b) {
-				if err := nd.DSM().Acquire(o, dsm.ModeWrite, simnet.ClassGC); err != nil {
+				if err := nd.AcquireAsCollector(cluster.Ref{OID: o}, dsm.ModeWrite); err != nil {
 					return st, err
 				}
 			}

@@ -155,10 +155,11 @@ type Node struct {
 	col *core.Collector
 	dsm *dsm.Node
 	// mu serializes this node's local state (heap, protocol engine,
-	// collector tables). It is released around outbound synchronous calls
-	// by tr, the node's transport wrapper, so remote handlers — including
-	// this node's own — can always make progress.
-	mu ownedMutex
+	// collector tables). Every synchronous Call runs under it, and tr, the
+	// node's transport wrapper, releases it for the exchange: the remote
+	// handler chain may call back into this node, so it must find mu free.
+	// Code that enters dsm or core directly must take mu first (lock).
+	mu sync.Mutex
 	tr transport.Transport
 	// rec is this node's flight recorder. Mutator entry points bracket
 	// themselves with EnterCritical/ExitCritical so every event emitted

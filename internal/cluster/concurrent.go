@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
-	"runtime"
-	"strconv"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -11,50 +9,13 @@ import (
 	"bmx/internal/transport"
 )
 
-// gid returns the current goroutine's id. The runtime does not expose it on
-// purpose; parsing the stack header is the standard trick and is only used
-// to let a node's transport wrapper recognise "the caller holds this node's
-// lock" — never for scheduling or identity.
-func gid() int64 {
-	var buf [64]byte
-	b := buf[:runtime.Stack(buf[:], false)]
-	// First line is "goroutine N [status]:".
-	b = bytes.TrimPrefix(b, []byte("goroutine "))
-	if i := bytes.IndexByte(b, ' '); i >= 0 {
-		b = b[:i]
-	}
-	n, _ := strconv.ParseInt(string(b), 10, 64)
-	return n
-}
-
-// ownedMutex is a mutex that remembers which goroutine holds it, so the
-// node's transport wrapper can release it around outbound synchronous calls
-// exactly when the calling goroutine is the holder (direct protocol driving
-// in tests calls dsm.Node methods without any cluster lock held).
-type ownedMutex struct {
-	mu    sync.Mutex
-	owner atomic.Int64 // goroutine id of the holder; 0 when free
-}
-
-func (m *ownedMutex) Lock() {
-	m.mu.Lock()
-	m.owner.Store(gid())
-}
-
-func (m *ownedMutex) Unlock() {
-	m.owner.Store(0)
-	m.mu.Unlock()
-}
-
-// heldByCaller reports whether the calling goroutine holds m.
-func (m *ownedMutex) heldByCaller() bool { return m.owner.Load() == gid() }
-
 // nodeTransport is the per-node view of the cluster transport handed to the
-// node's DSM engine and collector. Its one job is deadlock avoidance: an
-// outbound synchronous Call releases the node's lock for the duration of
-// the exchange, because the remote handler chain may legitimately call back
-// into this node (a write grant invalidates the requester's own copy-set
-// entries; ownership forwarding chains can revisit any hop). A goroutine
+// node's DSM engine and collector. Its one job is deadlock avoidance, under
+// one rule: every synchronous Call runs under the node lock, and the
+// wrapper releases that lock for the duration of the exchange. The remote
+// handler chain may legitimately call back into this node (a write grant
+// invalidates the requester's own copy-set entries; ownership forwarding
+// chains can revisit any hop), and it must find the lock free. A goroutine
 // therefore holds at most one node lock at any moment, and every blocked
 // Call holds none. Asynchronous Sends only enqueue — no handler runs — so
 // they keep the lock.
@@ -66,10 +27,14 @@ type nodeTransport struct {
 func (t *nodeTransport) Send(m transport.Msg) bool { return t.inner.Send(m) }
 
 func (t *nodeTransport) Call(m transport.Msg) (any, error) {
-	if t.n.mu.heldByCaller() {
+	if t.n.mu.TryLock() {
+		// Nobody held the lock, so the caller broke the rule: entering
+		// dsm or core without going through a cluster entry point.
 		t.n.mu.Unlock()
-		defer t.n.mu.Lock()
+		panic(fmt.Sprintf("cluster: %v issued synchronous call %q without holding its node lock", t.n.id, m.Kind))
 	}
+	t.n.mu.Unlock()
+	defer t.n.mu.Lock()
 	return t.inner.Call(m)
 }
 

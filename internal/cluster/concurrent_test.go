@@ -1,12 +1,54 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"bmx/internal/transport"
 )
+
+// TestCallWithoutNodeLockPanics pins the node transport's rule: every
+// synchronous Call runs under the node lock, and the wrapper releases it
+// for the exchange. A caller that reaches Call without the lock has entered
+// dsm or core around the cluster entry points; the wrapper must refuse
+// loudly instead of running the exchange, and must leave the lock free.
+func TestCallWithoutNodeLockPanics(t *testing.T) {
+	cl := New(Config{Nodes: 2})
+	n0, n1 := cl.Node(0), cl.Node(1)
+	b := n1.NewBunch()
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("synchronous Call without the node lock did not panic")
+			}
+			if !strings.Contains(fmt.Sprint(r), "without holding its node lock") {
+				t.Fatalf("unexpected panic: %v", r)
+			}
+		}()
+		n0.tr.Call(transport.Msg{
+			From: n0.ID(), To: n1.ID(), Kind: KindMapBunch, Class: transport.ClassApp,
+			Payload: mapBunchReq{Bunch: b}, Bytes: 16,
+		})
+	}()
+	// The guard must not leave the lock taken: an entry point still gets in.
+	done := make(chan error, 1)
+	go func() { done <- n0.MapBunch(b) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("MapBunch after the guard fired: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("node lock still held after the guard fired")
+	}
+}
 
 // TestConcurrentDisjointMutators is the parallelism payoff test: one
 // goroutine per node, each working entirely in its own bunch (allocation,

@@ -91,6 +91,16 @@ func (n *Node) acquireToken(r Ref, mode dsm.Mode) error {
 	return n.acquireLocked(r, mode)
 }
 
+// AcquireAsCollector obtains a token for r on a collector's behalf: the
+// acquire and every invalidation it triggers are attributed to GC-class
+// traffic. BMX's own collector never calls it (§5); it serves the
+// token-acquiring strawman collectors the experiments measure against.
+func (n *Node) AcquireAsCollector(r Ref, mode dsm.Mode) error {
+	defer n.cl.lockObject(r.OID)()
+	defer n.lock()()
+	return n.dsm.Acquire(r.OID, mode, transport.ClassGC)
+}
+
 // acquireLocked performs a token acquire at the configured consistency
 // granularity: per object (the paper's design), or per allocation segment
 // (the coarse-grain variant of §10's future work, emulating page-grain DSM

@@ -202,6 +202,59 @@ func TestParallelCollectNoDSMInterference(t *testing.T) {
 	}
 	cl.Run(0)
 
+	// Two mutator goroutines share node 0 while its pool collects with two
+	// workers. Their first acquires fetch the tokens nodes 1 and 2 took
+	// above, so synchronous calls leave node 0 while a collection holds or
+	// waits for its lock. Each goroutine increments field 1 of its own half
+	// of the objects; nobody else writes there, so every increment counts.
+	const sharedRounds = 6
+	var mutators sync.WaitGroup
+	mutatorsDone := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		mutators.Add(1)
+		go func(g int) {
+			defer mutators.Done()
+			for round := 0; round < sharedRounds; round++ {
+				for k := g; k < len(objs); k += 2 {
+					r := objs[k]
+					if err := n0.AcquireWrite(r); err != nil {
+						t.Errorf("mutator %d acquire %v: %v", g, r, err)
+						return
+					}
+					v, err := n0.ReadWord(r, 1)
+					if err == nil {
+						err = n0.WriteWord(r, 1, v+1)
+					}
+					n0.Release(r)
+					if err != nil {
+						t.Errorf("mutator %d increment %v: %v", g, r, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	go func() { mutators.Wait(); close(mutatorsDone) }()
+	sharedCollections := 0
+	for running := true; running; sharedCollections++ {
+		select {
+		case <-mutatorsDone:
+			running = false
+		default:
+		}
+		n0.CollectBunches(bunches, 2)
+	}
+	cl.Run(0)
+	t.Logf("node 0 ran %d two-worker collections under two mutators", sharedCollections)
+	for _, r := range objs {
+		if got, err := n0.ReadWord(r, 1); err != nil || got != sharedRounds {
+			t.Errorf("%v field 1 = %d (err %v), want %d increments", r, got, err, sharedRounds)
+		}
+	}
+	if bad := cl.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("invariants violated after shared-node mutators:\n%v", bad)
+	}
+
 	for i := 0; i < cl.Nodes(); i++ {
 		n := cl.Node(i)
 		st := n.CollectBunches(n.Collector().MappedBunches(), 4)
@@ -229,8 +282,8 @@ func TestParallelCollectNoDSMInterference(t *testing.T) {
 	if got := st.Get("dsm.invalidation.gc"); got != 0 {
 		t.Errorf("parallel GC caused %d invalidations; the paper's claim requires 0", got)
 	}
-	if got := st.Get("gc.parallel.runs"); got != int64(cl.Nodes()) {
-		t.Errorf("gc.parallel.runs = %d, want %d", got, cl.Nodes())
+	if got, want := st.Get("gc.parallel.runs"), int64(cl.Nodes()+sharedCollections); got != want {
+		t.Errorf("gc.parallel.runs = %d, want %d", got, want)
 	}
 	if got := st.Get("gc.parallel.workers"); got == 0 {
 		t.Errorf("gc.parallel.workers = 0, want > 0")

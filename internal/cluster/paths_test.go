@@ -5,7 +5,6 @@ import (
 
 	"bmx/internal/addr"
 	"bmx/internal/dsm"
-	"bmx/internal/simnet"
 )
 
 // Tests for the less-travelled protocol paths.
@@ -180,7 +179,7 @@ func TestGCClassNeverUsedByCollector(t *testing.T) {
 		}
 	}
 	// While the baseline does use it (sanity that the counter works).
-	if err := n1.DSM().Acquire(o1.OID, dsm.ModeWrite, simnet.ClassGC); err != nil {
+	if err := n1.AcquireAsCollector(o1, dsm.ModeWrite); err != nil {
 		t.Fatal(err)
 	}
 	if st.Get("dsm.acquire.w.gc") != 1 {

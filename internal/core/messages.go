@@ -240,7 +240,9 @@ func (c *Collector) moveOwnedObjectLocked(o addr.OID) (dsm.Manifest, bool) {
 	}
 	seg := rep.allocSeg
 	rep.segMu.Unlock()
-	to, allocOK := c.heap.Alloc(seg, o, size)
+	// The to-space slot is published only after its fields are filled:
+	// ReadWord and ReadRef resolve without the stripe.
+	to, allocOK := c.heap.Reserve(seg, o, size)
 	if !allocOK {
 		return dsm.Manifest{}, false
 	}

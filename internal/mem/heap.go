@@ -131,6 +131,18 @@ func (h *Heap) SetWord(a addr.Addr, v uint64) {
 // canonical address. It returns the header address, or false if the segment
 // lacks space.
 func (h *Heap) Alloc(s *Segment, oid addr.OID, dataWords int) (addr.Addr, bool) {
+	a, ok := h.Reserve(s, oid, dataWords)
+	if ok {
+		h.SetCanonical(oid, a)
+	}
+	return a, ok
+}
+
+// Reserve is Alloc without recording the canonical address. A copying
+// collector reserves the to-space slot, fills it, and only then publishes
+// it, so a reader that does not hold the object's stripe never resolves the
+// object to a half-copied slot.
+func (h *Heap) Reserve(s *Segment, oid addr.OID, dataWords int) (addr.Addr, bool) {
 	if dataWords < 0 {
 		panic("mem: negative object size")
 	}
@@ -144,9 +156,6 @@ func (h *Heap) Alloc(s *Segment, oid addr.OID, dataWords int) (addr.Addr, bool) 
 	s.allocOff += need
 	writeHeaderLocked(s, a, oid, dataWords)
 	s.mu.Unlock()
-	h.mu.Lock()
-	h.objs[oid] = a
-	h.mu.Unlock()
 	return a, true
 }
 

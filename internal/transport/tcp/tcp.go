@@ -165,11 +165,12 @@ func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.Ca
 		t.wg.Add(1)
 		go ib.loop()
 	}
+	hello := t.helloLocked()
 	conns := make([]*conn, 0, len(t.conns))
 	for _, cn := range t.conns {
+		cn.announced = len(hello.Nodes)
 		conns = append(conns, cn)
 	}
-	hello := t.helloLocked()
 	t.mu.Unlock()
 
 	buf, err := appendFrame(nil, hello)
@@ -612,6 +613,7 @@ func (t *Transport) newConn(nc net.Conn, dialed bool) *conn {
 	c.qcond = sync.NewCond(&c.qmu)
 	t.mu.Lock()
 	hello := t.helloLocked()
+	c.announced = len(hello.Nodes)
 	t.mu.Unlock()
 	if buf, err := appendFrame(nil, hello); err == nil {
 		c.enqueue(buf)
@@ -652,7 +654,17 @@ func (t *Transport) installConn(c *conn, f frame) bool {
 			t.routes[n] = c
 		}
 	}
+	var catchUp *frame
+	if c.announced != len(t.handlers) {
+		catchUp = t.helloLocked()
+		c.announced = len(catchUp.Nodes)
+	}
 	t.mu.Unlock()
+	if catchUp != nil {
+		if buf, err := appendFrame(nil, catchUp); err == nil {
+			c.enqueue(buf)
+		}
+	}
 	if loser != nil {
 		// The loser may be mid-conversation: under load the crossing dial
 		// can land long after the mesh formed on the other stream, and
@@ -826,6 +838,11 @@ type conn struct {
 	nc     net.Conn
 	dialed bool
 	nodes  []addr.NodeID
+	// announced is how many local nodes the last hello sent on this stream
+	// carried; guarded by Transport.mu. A Register that runs before the
+	// stream is installed cannot re-announce on it, so installConn
+	// compares this with the current count and catches the peer up.
+	announced int
 
 	idMu sync.Mutex
 	id   string // peer identity (canonical listen addr), "" until hello

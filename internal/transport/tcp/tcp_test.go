@@ -1,8 +1,10 @@
 package tcp
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -345,3 +347,42 @@ func TestLocalDeliveryNeverSynchronous(t *testing.T) {
 }
 
 var _ = addr.NodeID(0)
+
+// TestRegisterBeforeInstallIsAnnounced pins the hello catch-up: a node
+// registered after a stream sent its first hello, but before the peer's
+// hello installed that stream, must still reach the peer. Register can only
+// re-announce on installed streams, so installConn announces the missed
+// nodes. A raw socket plays the peer so the interleaving is exact.
+func TestRegisterBeforeInstallIsAnnounced(t *testing.T) {
+	a, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	nc, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(nc)
+	first, err := readFrame(br)
+	if err != nil || first.Type != frameHello || len(first.Nodes) != 0 {
+		t.Fatalf("first frame = %+v, %v; want a hello with no nodes", first, err)
+	}
+	a.Register(0, nil, nil)
+	hello, err := appendFrame(nil, &frame{Type: frameHello, ListenAddr: "127.0.0.1:1", Nodes: []addr.NodeID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	next, err := readFrame(br)
+	if err != nil {
+		t.Fatalf("no catch-up hello after the peer's hello: %v", err)
+	}
+	if next.Type != frameHello || len(next.Nodes) != 1 || next.Nodes[0] != 0 {
+		t.Fatalf("catch-up frame = %+v; want a hello announcing node 0", next)
+	}
+}
