@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -26,8 +25,9 @@ import (
 	"bmx/internal/transport"
 )
 
-// The driver-protocol payloads. Registered for the TCP transport's gob
-// payload codec; every process runs the same binary.
+// The driver-protocol payloads, with wire codecs for the TCP transport
+// (fields in declaration order, maps in ascending key order); every
+// process runs the same binary.
 type ctlMapReq struct{ Bunch addr.BunchID }
 
 type ctlMutateReq struct {
@@ -44,12 +44,79 @@ type ctlStatsReply struct{ Counters map[string]int64 }
 // cluster-wide table (see PROTOCOL.md).
 type ctlHeatReply struct{ Rows []heat.Row }
 
+const (
+	tagCtlMapReq transport.PayloadTag = iota + 80
+	tagCtlMutateReq
+	tagCtlAck
+	tagCtlStatsReply
+	tagCtlHeatReply
+)
+
 func init() {
-	gob.Register(ctlMapReq{})
-	gob.Register(ctlMutateReq{})
-	gob.Register(ctlAck{})
-	gob.Register(ctlStatsReply{})
-	gob.Register(ctlHeatReply{})
+	transport.RegisterPayload(tagCtlMapReq,
+		func(dst []byte, q ctlMapReq) []byte { return transport.AppendUint(dst, q.Bunch) },
+		func(r *transport.WireReader) ctlMapReq { return ctlMapReq{Bunch: transport.ReadUint[addr.BunchID](r)} })
+	transport.RegisterPayload(tagCtlMutateReq,
+		func(dst []byte, q ctlMutateReq) []byte {
+			dst = transport.AppendSlice(dst, q.OIDs, transport.AppendUint[uint64])
+			return transport.AppendUint(dst, q.Round)
+		},
+		func(r *transport.WireReader) ctlMutateReq {
+			return ctlMutateReq{OIDs: transport.ReadSlice(r, 1, transport.ReadUint[uint64]), Round: r.Uvarint()}
+		})
+	transport.RegisterPayload(tagCtlAck,
+		func(dst []byte, a ctlAck) []byte { return transport.AppendInt(dst, a.N) },
+		func(r *transport.WireReader) ctlAck { return ctlAck{N: transport.ReadInt[int](r)} })
+	transport.RegisterPayload(tagCtlStatsReply,
+		func(dst []byte, p ctlStatsReply) []byte {
+			return transport.AppendMap(dst, p.Counters, transport.AppendString, transport.AppendInt[int64])
+		},
+		func(r *transport.WireReader) ctlStatsReply {
+			return ctlStatsReply{Counters: transport.ReadMap(r, 2, (*transport.WireReader).Str, transport.ReadInt[int64])}
+		})
+	transport.RegisterPayload(tagCtlHeatReply,
+		func(dst []byte, p ctlHeatReply) []byte { return transport.AppendSlice(dst, p.Rows, appendHeatRow) },
+		func(r *transport.WireReader) ctlHeatReply {
+			return ctlHeatReply{Rows: transport.ReadSlice(r, 12, readHeatRow)}
+		})
+}
+
+// A heat row's fields in declaration order; Owner is a presence byte and,
+// when set, the owner's node number.
+func appendHeatRow(dst []byte, h heat.Row) []byte {
+	dst = transport.AppendInt(dst, h.Heat)
+	dst = transport.AppendUint(dst, h.OID)
+	dst = transport.AppendUint(dst, h.Bunch)
+	dst = transport.AppendInt(dst, h.Node)
+	for _, v := range [...]uint64{h.Reads, h.Writes, h.Acquires, h.Remote, h.Hops, h.Recent} {
+		dst = transport.AppendUint(dst, v)
+	}
+	dst = transport.AppendBool(dst, h.Owner != nil)
+	if h.Owner != nil {
+		dst = transport.AppendInt(dst, *h.Owner)
+	}
+	return transport.AppendUint(dst, h.OwnerTick)
+}
+
+func readHeatRow(r *transport.WireReader) heat.Row {
+	h := heat.Row{
+		Heat:     transport.ReadInt[int](r),
+		OID:      r.Uvarint(),
+		Bunch:    transport.ReadUint[uint32](r),
+		Node:     transport.ReadInt[int32](r),
+		Reads:    r.Uvarint(),
+		Writes:   r.Uvarint(),
+		Acquires: r.Uvarint(),
+		Remote:   r.Uvarint(),
+		Hops:     r.Uvarint(),
+		Recent:   r.Uvarint(),
+	}
+	if r.Bool() {
+		owner := transport.ReadInt[int32](r)
+		h.Owner = &owner
+	}
+	h.OwnerTick = r.Uvarint()
+	return h
 }
 
 // mutatedValue is the word every commanded write stores: recomputable by

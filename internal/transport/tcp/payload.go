@@ -1,61 +1,22 @@
 package tcp
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "bmx/internal/transport"
 
-// Payload codec: the `any` payload of a transport.Msg (and of call
-// replies) crosses the wire as a self-describing gob blob nested inside
-// the frame. gob is the one stdlib codec that round-trips Go values held
-// in interfaces — including the protocol layers' unexported payload
-// structs, whose fields are exported — provided each concrete type is
-// registered. Every package that puts a type on the wire registers it in
-// an init function (dsm, core, ssp, cluster); since all processes of a
-// cluster run the same bmxd binary, the registries agree by construction.
+// Payload codec: the `any` payload of a transport.Msg (and of a call
+// reply) crosses the wire as a tagged binary value nested inside the frame
+// — a uvarint type tag, then the body the type's owning package encodes
+// with its registered append-style encoder (transport.RegisterPayload).
+// No value is walked by reflection and no type description rides along:
+// the tag table is fixed at init and identical in every process of a
+// cluster, which all run the same binary.
 //
 // The blob is decoded only after the frame decoder has bounds-checked it
-// against the received body, so gob never sees a length the wire did not
-// actually deliver.
+// against the received body, and every payload decoder checks each length
+// against the bytes that remain before allocating, so neither layer sees a
+// length the wire did not actually deliver.
 
-// payloadBox wraps the payload so gob transmits the concrete type's
-// identity even when the value is an interface.
-type payloadBox struct{ V any }
-
-// encodePayload renders v as a self-describing blob; nil stays empty.
-func encodePayload(v any) ([]byte, error) {
-	if v == nil {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payloadBox{V: v}); err != nil {
-		return nil, fmt.Errorf("tcp: encode payload %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
+// encodePayload renders v as a tagged blob; nil stays empty.
+func encodePayload(v any) ([]byte, error) { return transport.AppendPayload(nil, v) }
 
 // decodePayload reverses encodePayload; an empty blob is a nil payload.
-func decodePayload(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var box payloadBox
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("tcp: decode payload: %w", err)
-	}
-	return box.V, nil
-}
-
-func init() {
-	// Primitive payloads common in tests and control traffic. Protocol
-	// packages register their own struct types beside their definitions.
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]uint64(nil))
-	gob.Register([]string(nil))
-}
+func decodePayload(b []byte) (any, error) { return transport.DecodePayload(b) }

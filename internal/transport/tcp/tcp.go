@@ -89,6 +89,14 @@ type Transport struct {
 	plan     transport.FaultPlan
 	rng      *rand.Rand
 	closed   bool
+	// routed is closed and replaced whenever a route is installed, waking
+	// WaitForNodes; guarded by mu.
+	routed chan struct{}
+	// local mirrors the key set of inboxes so Send can tell, without mu,
+	// whether a payload needs encoding. It is replaced, never mutated,
+	// under mu; nodes are never unregistered, so a node seen local stays
+	// local.
+	local atomic.Pointer[map[addr.NodeID]struct{}]
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -121,6 +129,7 @@ func New(opts Options) (*Transport, error) {
 		routes:   make(map[addr.NodeID]*conn),
 		pending:  make(map[uint64]*pendingCall),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
+		routed:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	t.stats.Observer().SetTickSource(t.clock.Now)
@@ -162,6 +171,11 @@ func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.Ca
 	if t.inboxes[id] == nil {
 		ib := newInbox(t, id)
 		t.inboxes[id] = ib
+		local := make(map[addr.NodeID]struct{}, len(t.inboxes))
+		for n := range t.inboxes {
+			local[n] = struct{}{}
+		}
+		t.local.Store(&local)
 		t.wg.Add(1)
 		go ib.loop()
 	}
@@ -180,6 +194,17 @@ func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.Ca
 	for _, cn := range conns {
 		cn.enqueue(buf)
 	}
+}
+
+// isLocal reports whether id is registered in this process, without
+// taking t.mu.
+func (t *Transport) isLocal(id addr.NodeID) bool {
+	local := t.local.Load()
+	if local == nil {
+		return false
+	}
+	_, ok := (*local)[id]
+	return ok
 }
 
 // helloLocked builds the current hello frame; t.mu must be held.
@@ -209,6 +234,15 @@ func (t *Transport) Send(m transport.Msg) bool {
 			m.Span = o.Recorder(m.From).CurrentSpan()
 		}
 	}
+	// A payload bound for another process is encoded before the transport
+	// lock is taken, so concurrent senders serialize only on the frame
+	// header, which carries the stream sequence number. A local destination
+	// takes m as it is and is never encoded.
+	var pb []byte
+	var encErr error
+	if !t.isLocal(m.To) {
+		pb, encErr = encodePayload(m.Payload)
+	}
 	t.mu.Lock()
 	k := pairKey{m.From, m.To}
 	t.seqs[k]++
@@ -233,7 +267,11 @@ func (t *Transport) Send(m transport.Msg) bool {
 			ib.push(m)
 			accepted = true
 		} else if c := t.routes[m.To]; c != nil {
-			if buf, err := t.encodeMsgLocked(frameMsg, m, 0); err == nil {
+			var buf []byte
+			if encErr == nil {
+				buf, encErr = t.frameLocked(frameMsg, m, 0, pb)
+			}
+			if encErr == nil {
 				accepted = c.enqueue(buf)
 			} else {
 				t.stats.Add("msg.encodeError", 1)
@@ -275,14 +313,12 @@ func (t *Transport) Send(m transport.Msg) bool {
 	return true
 }
 
-// encodeMsgLocked renders m as a msg or call frame; t.mu must be held so
-// that frames enter their stream's queue in sequence order.
-func (t *Transport) encodeMsgLocked(ft frameType, m transport.Msg, reqID uint64) ([]byte, error) {
-	pb, err := encodePayload(m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return appendFrame(nil, &frame{
+// frameLocked renders m as a msg or call frame around its already encoded
+// payload pb; t.mu must be held so that frames enter their stream's queue
+// in sequence order. The buffer is sized for the payload up front, so the
+// payload is copied exactly once.
+func (t *Transport) frameLocked(ft frameType, m transport.Msg, reqID uint64, pb []byte) ([]byte, error) {
+	return appendFrame(make([]byte, 0, frameHeadroom+len(m.Kind)+len(pb)), &frame{
 		Type: ft, Tick: t.clock.Now(),
 		From: m.From, To: m.To, Kind: m.Kind, Class: m.Class,
 		Seq: m.Seq, ReqID: reqID, Bytes: m.Bytes, Piggyback: m.Piggyback,
@@ -328,16 +364,16 @@ func (t *Transport) Call(m transport.Msg) (any, error) {
 		return reply, err
 	}
 
+	pb, encErr := encodePayload(m.Payload)
 	t.mu.Lock()
 	c := t.routes[m.To]
 	var buf []byte
 	var reqID uint64
-	var encErr error
 	var pc *pendingCall
-	if c != nil {
+	if c != nil && encErr == nil {
 		t.nextReq++
 		reqID = t.nextReq
-		buf, encErr = t.encodeMsgLocked(frameCall, m, reqID)
+		buf, encErr = t.frameLocked(frameCall, m, reqID, pb)
 		if encErr == nil {
 			pc = &pendingCall{ch: make(chan frame, 1), c: c}
 			t.pending[reqID] = pc
@@ -414,23 +450,25 @@ func (t *Transport) unregisterCall(reqID uint64) {
 }
 
 // WaitForNodes blocks until routes to at least want distinct remote nodes
-// exist (the mesh has formed), or the timeout elapses.
+// exist (the mesh has formed), or the timeout elapses. It wakes on every
+// route installation rather than polling, and fails as soon as the
+// transport closes.
 func (t *Transport) WaitForNodes(want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
 		t.mu.Lock()
-		got := len(t.routes)
+		got, routed := len(t.routes), t.routed
 		t.mu.Unlock()
 		if got >= want {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("tcp: %s: only %d of %d remote nodes routable after %v", t.laddr, got, want, timeout)
-		}
 		select {
+		case <-routed:
 		case <-t.done:
 			return fmt.Errorf("tcp: transport closed while waiting for peers")
-		case <-time.After(10 * time.Millisecond):
+		case <-timer.C:
+			return fmt.Errorf("tcp: %s: only %d of %d remote nodes routable after %v", t.laddr, got, want, timeout)
 		}
 	}
 }
@@ -628,8 +666,9 @@ func (t *Transport) newConn(nc net.Conn, dialed bool) *conn {
 // nodes. When both ends dialed each other, the duplicate streams are
 // collapsed deterministically: the connection dialed by the side with the
 // lexicographically smaller listen address survives — both ends compute
-// the same verdict from the same two strings. It reports whether c should
-// stay open.
+// the same verdict from the same two strings. The losing stream is
+// demoted, not dropped (see drainConn). It reports whether c should stay
+// open.
 func (t *Transport) installConn(c *conn, f frame) bool {
 	var loser *conn
 	t.mu.Lock()
@@ -637,27 +676,39 @@ func (t *Transport) installConn(c *conn, f frame) bool {
 		t.mu.Unlock()
 		return false
 	}
+	if c.draining {
+		t.mu.Unlock()
+		return true // demoted: serves what is in flight, routes nothing
+	}
 	c.setIdentity(f.ListenAddr)
 	if existing := t.conns[f.ListenAddr]; existing != nil && existing != c {
 		survivorIsDialed := t.laddr < f.ListenAddr
 		if c.dialed != survivorIsDialed {
-			t.mu.Unlock()
-			return false // existing stream (or the peer's) wins; drop c
+			// The existing stream wins. Until the winner's hello reaches
+			// the peer, the peer may route calls over c, so c is demoted
+			// like any loser rather than closed under them.
+			loser = c
+		} else {
+			t.demoteConnLocked(existing)
+			loser = existing
 		}
-		t.demoteConnLocked(existing)
-		loser = existing
-	}
-	t.conns[f.ListenAddr] = c
-	c.nodes = f.Nodes
-	for _, n := range f.Nodes {
-		if t.handlers[n] == nil {
-			t.routes[n] = c
-		}
+		loser.draining = true
 	}
 	var catchUp *frame
-	if c.announced != len(t.handlers) {
-		catchUp = t.helloLocked()
-		c.announced = len(catchUp.Nodes)
+	if loser != c {
+		t.conns[f.ListenAddr] = c
+		c.nodes = f.Nodes
+		for _, n := range f.Nodes {
+			if t.handlers[n] == nil {
+				t.routes[n] = c
+			}
+		}
+		close(t.routed)
+		t.routed = make(chan struct{})
+		if c.announced != len(t.handlers) {
+			catchUp = t.helloLocked()
+			c.announced = len(catchUp.Nodes)
+		}
 	}
 	t.mu.Unlock()
 	if catchUp != nil {
@@ -669,8 +720,9 @@ func (t *Transport) installConn(c *conn, f frame) bool {
 		// The loser may be mid-conversation: under load the crossing dial
 		// can land long after the mesh formed on the other stream, and
 		// killing it outright would fail every call in flight on it. Demote
-		// it from routing (new traffic uses c) but keep it open until its
-		// pending calls resolve — replies match by request ID, not stream.
+		// it from routing (new traffic uses the survivor) but keep it open
+		// until its pending calls resolve — replies match by request ID,
+		// not stream.
 		t.stats.Add("tcp.demoted", 1)
 		t.wg.Add(1)
 		go t.drainConn(loser)
@@ -815,7 +867,18 @@ func (t *Transport) serveCall(c *conn, f frame) {
 		rf.Payload = nil
 	}
 	rf.Tick = t.clock.Now()
-	if buf, ferr := appendFrame(nil, &rf); ferr == nil {
+	buf, ferr := appendFrame(make([]byte, 0, frameHeadroom+len(rf.ErrDetail)+len(rf.Payload)), &rf)
+	if ferr != nil {
+		// The reply does not fit in a frame (MaxFrameBytes): answer with
+		// the failure instead, so the caller learns why at once rather
+		// than waiting out its CallTimeout.
+		rf.HasErr = true
+		rf.ErrName = transport.WireErrorName(ferr)
+		rf.ErrDetail = fmt.Sprintf("tcp: reply to %s: %v", f.Kind, ferr)
+		rf.Payload = nil
+		buf, ferr = appendFrame(nil, &rf)
+	}
+	if ferr == nil {
 		c.enqueue(buf)
 	}
 }
@@ -838,6 +901,9 @@ type conn struct {
 	nc     net.Conn
 	dialed bool
 	nodes  []addr.NodeID
+	// draining marks a stream that lost mesh deduplication: it routes
+	// nothing and closes once drained; guarded by Transport.mu.
+	draining bool
 	// announced is how many local nodes the last hello sent on this stream
 	// carried; guarded by Transport.mu. A Register that runs before the
 	// stream is installed cannot re-announce on it, so installConn
@@ -918,7 +984,10 @@ func (c *conn) writeLoop() {
 func (c *conn) readLoop() {
 	defer c.t.wg.Done()
 	defer c.close()
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+	// A few KiB of read buffer hold a burst of typical frames; a larger
+	// body is read straight into its own buffer, so a bigger one would only
+	// pin memory for every stream, demoted ones included.
+	br := bufio.NewReaderSize(c.nc, 4<<10)
 	for {
 		f, err := readFrame(br)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -384,5 +385,143 @@ func TestRegisterBeforeInstallIsAnnounced(t *testing.T) {
 	}
 	if next.Type != frameHello || len(next.Nodes) != 1 || next.Nodes[0] != 0 {
 		t.Fatalf("catch-up frame = %+v; want a hello announcing node 0", next)
+	}
+}
+
+// WaitForNodes wakes on route installation instead of polling: a waiter
+// for two remote nodes stays blocked while one is routable and returns
+// once the second route is installed; a waiter fails at once on Close.
+func TestWaitForNodesWakesOnRouteAndClose(t *testing.T) {
+	a, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Register(0, nil, nil)
+	wait := func(want int) <-chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- a.WaitForNodes(want, 30*time.Second) }()
+		return ch
+	}
+	join := func(id addr.NodeID) {
+		p, err := New(Options{Peers: []string{a.Addr()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		p.Register(id, nil, nil)
+	}
+
+	two := wait(2)
+	join(1)
+	waitFor(t, "first route", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.routes) == 1
+	})
+	select {
+	case err := <-two:
+		t.Fatalf("waiter for 2 nodes returned with one routable: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	join(2)
+	select {
+	case err := <-two:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter not woken by the second route")
+	}
+
+	five := wait(5)
+	start := time.Now()
+	a.Close()
+	select {
+	case err := <-five:
+		if err == nil {
+			t.Fatal("waiter succeeded on a closed transport")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter not woken by Close")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("waiter took %v to notice Close", d)
+	}
+}
+
+// A reply too large for one frame comes back as an error naming the
+// frame limit, well before the call timeout, instead of vanishing.
+func TestOversizedReplyFailsFast(t *testing.T) {
+	a, err := New(Options{CallTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	b, err := New(Options{Peers: []string{a.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	b.Register(1, nil, func(m transport.Msg) (any, int, error) {
+		return make([]byte, MaxFrameBytes+1), 8, nil
+	})
+	a.Register(0, nil, nil)
+	if err := a.WaitForNodes(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = a.Call(transport.Msg{From: 0, To: 1, Kind: "huge"})
+	if err == nil || !strings.Contains(err.Error(), "MaxFrameBytes") {
+		t.Fatalf("oversized reply: err = %v, want the frame-size failure", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("oversized reply took %v to fail", d)
+	}
+}
+
+// Crossing dials are deduplicated while calls are already flowing: a call
+// issued the moment a route appears may travel on the stream that later
+// loses, and it must still be answered. The loser is demoted and drained,
+// never closed under an in-flight call.
+func TestCallsDuringMutualDialDedup(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		a, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Register(0, nil, func(m transport.Msg) (any, int, error) { return "a", 1, nil })
+		b.Register(1, nil, func(m transport.Msg) (any, int, error) { return "b", 1, nil })
+		a.AddPeer(b.Addr())
+		b.AddPeer(a.Addr())
+		var wg sync.WaitGroup
+		for _, c := range []struct {
+			tr       *Transport
+			from, to addr.NodeID
+		}{{a, 0, 1}, {b, 1, 0}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c.tr.WaitForNodes(1, 5*time.Second); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 20; i++ {
+					if _, err := c.tr.Call(transport.Msg{From: c.from, To: c.to, Kind: "q"}); err != nil {
+						t.Errorf("round %d: call %v->%v #%d: %v", round, c.from, c.to, i, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		a.Close()
+		b.Close()
+		if t.Failed() {
+			return
+		}
 	}
 }
