@@ -24,7 +24,7 @@ race:
 # Seeded chaos soak: duplication + delay + partitions over the full test
 # suite's fault tests, plus a fixed-seed bmxd storm.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Dup|Delay|Partition|LossGap' ./internal/...
+	$(GO) test -race -run 'Chaos|Fault|Dup|Delay|Partition|LossGap|Reclaim|Recycl' ./internal/...
 	$(GO) run ./cmd/bmxd -chaos -nodes 3 -chaos-steps 400 -seed 1 -loss 0.05 -dup 0.15 -delay 0.2
 	$(GO) run ./cmd/bmxd -chaos -nodes 4 -chaos-steps 300 -seed 42 -dup 0.25 -delay 0.3 -partition-every 50 -partition-for 15
 

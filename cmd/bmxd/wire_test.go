@@ -9,6 +9,9 @@ import (
 	"runtime"
 	"testing"
 
+	"bmx/internal/addr"
+	"bmx/internal/core"
+	"bmx/internal/dsm"
 	"bmx/internal/obs/heat"
 	"bmx/internal/transport"
 	"bmx/internal/transport/wiretest"
@@ -85,6 +88,16 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{20, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// An acquireReply (tag 17) whose RefMask count is near 2^64.
 	f.Add([]byte{17, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// The address-change layout (tag 36): from, bunch, the round's segment
+	// list, then the manifests; once well formed, once with a segment count
+	// of 2^64-1.
+	ac, err := transport.AppendPayload(nil, core.AddrChangeMsg{From: 1, Bunch: 2, Segs: []addr.SegID{3, 4, 9},
+		Manifests: []dsm.Manifest{{OID: 5, Addr: 0x1000_0000_0800, Size: 2, Bunch: 2, Epoch: 1}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ac)
+	f.Add([]byte{36, 1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	// ReadMemStats flushes every P's allocation cache first, so its
 	// TotalAlloc is exact, unlike the sampled runtime/metrics figure.
 	var ms runtime.MemStats

@@ -566,7 +566,7 @@ func (n *Node) UnmapBunch(b addr.BunchID) error {
 				n.dsm.Forget(o)
 			}
 		}
-		heap.UnmapSegment(meta.ID)
+		heap.UnmapSegments(meta.ID)
 	}
 	n.cl.dir.RemoveReplica(b, n.id)
 	return nil

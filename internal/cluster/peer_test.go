@@ -33,10 +33,20 @@ func reserveAddrs(t *testing.T, n int) []string {
 
 // startPeers builds one Peer per address (all in this process, each with
 // its own TCP transport — the same wiring bmxd uses across processes) and
-// waits for the mesh.
+// waits for the mesh. Teardown closes the seed last: a follower's handlers
+// may still be consulting the seed's directory while that follower drains.
 func startPeers(t *testing.T, addrs []string) []*Peer {
 	t.Helper()
 	peers := make([]*Peer, len(addrs))
+	t.Cleanup(func() {
+		for _, seedPass := range []bool{false, true} {
+			for _, p := range peers {
+				if p != nil && p.IsSeed() == seedPass {
+					p.Close()
+				}
+			}
+		}
+	})
 	for i, a := range addrs {
 		var others []string
 		for j, b := range addrs {
@@ -48,7 +58,6 @@ func startPeers(t *testing.T, addrs []string) []*Peer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
 		peers[i] = p
 	}
 	for _, p := range peers {

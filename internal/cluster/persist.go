@@ -219,7 +219,7 @@ func (n *Node) Crash(b addr.BunchID) error {
 	n.openTx = nil
 	heap := n.col.Heap()
 	for _, meta := range n.cl.dir.Segments(b) {
-		heap.UnmapSegment(meta.ID)
+		heap.UnmapSegments(meta.ID)
 	}
 	// The collector's cached allocation segment points at a replica the
 	// unmap just orphaned; allocating through it would create objects the

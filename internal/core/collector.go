@@ -408,14 +408,6 @@ func (c *Collector) ResolveRef(a addr.Addr) (addr.Addr, addr.OID) {
 	return r, o
 }
 
-// rememberTombstones records the identities of a freed segment's objects in
-// the cluster directory (the address-recycling ledger).
-func (c *Collector) rememberTombstones(hs []SegHeader) {
-	for _, h := range hs {
-		c.dir.RecordPlacement(h.Old, h.OID)
-	}
-}
-
 // ---- Write barrier (§3.2) ---------------------------------------------------
 
 // WriteBarrier runs after every reference store (the paper instruments every

@@ -73,13 +73,14 @@ type Directory struct {
 	// has no local routing state; the chains themselves stay
 	// authoritative.
 	ownerHint map[addr.OID]addr.NodeID
-	// placements maps every address an object has ever been placed at
-	// (its allocation address and each to-space copy) to its identity. In
-	// the real system object headers are part of segment memory and reach
+	// placements maps every address an object has been placed at (its
+	// allocation address and each to-space copy) to its identity. In the
+	// real system object headers are part of segment memory and reach
 	// every replica with the pages; in this simulation the directory
 	// carries that knowledge, so a stale word in any replica still
-	// identifies its object even after the segment holding the header was
-	// freed or was never mapped locally.
+	// identifies its object even when the header was never mapped
+	// locally. A segment's entries live until the §4.5 round that frees it
+	// ends with RemoveSegment.
 	placements map[addr.Addr]addr.OID
 }
 
@@ -235,10 +236,11 @@ func (d *Directory) RemoveSegment(b addr.BunchID, id addr.SegID) {
 		}
 		bi.segs = append(bi.segs[:i], bi.segs[i+1:]...)
 		if meta := d.alloc.Meta(id); meta != nil {
-			for a := range d.placements {
-				if meta.Contains(a) {
-					delete(d.placements, a)
-				}
+			// Placements are header addresses inside the range, so probing
+			// each of its words forgets them in time proportional to the
+			// segment, not to the whole ledger.
+			for a := meta.Base; a < meta.Limit(); a = a.AddWords(1) {
+				delete(d.placements, a)
 			}
 			delete(d.segObjs, id)
 		}

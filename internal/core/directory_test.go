@@ -125,6 +125,27 @@ func TestDirectoryPlacements(t *testing.T) {
 	if _, ok := d.PlacementOID(0x3000); ok {
 		t.Fatal("phantom placement")
 	}
+
+	// Freeing a segment forgets the placements inside its range, from its
+	// first word to its last, and nothing else.
+	b := d.NewBunch(0)
+	s1, s2 := d.AddSegment(b), d.AddSegment(b)
+	last := s1.Limit().AddWords(-1)
+	d.RecordPlacement(s1.Base, 8)
+	d.RecordPlacement(last, 9)
+	d.RecordPlacement(s2.Base, 10)
+	d.RemoveSegment(b, s1.ID)
+	for _, a := range []addr.Addr{s1.Base, last} {
+		if o, ok := d.PlacementOID(a); ok {
+			t.Fatalf("placement %v -> %v survived its segment", a, o)
+		}
+	}
+	if o, ok := d.PlacementOID(s2.Base); !ok || o != 10 {
+		t.Fatal("placement in a neighbouring segment lost")
+	}
+	if o, ok := d.PlacementOID(0x1000); !ok || o != 7 {
+		t.Fatal("placement outside every segment lost")
+	}
 }
 
 func TestDirectoryUnknownBunchPanics(t *testing.T) {

@@ -12,10 +12,6 @@ import (
 	"bmx/internal/transport"
 )
 
-// TraceOID, when non-zero, enables verbose per-object diagnostics for that
-// object (tests only).
-var TraceOID addr.OID
-
 // Liveness strengths. Objects reachable from mutator roots, inter-bunch
 // scions or entering ownerPtrs are strongly live. Objects reachable only
 // from intra-bunch scions are weakly live: they are preserved (a remote
@@ -409,9 +405,6 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 				if info, ok := c.dir.Object(o); ok {
 					manager = info.AllocNode
 				}
-				if o == TraceOID {
-					fmt.Printf("TRACEOID %v: reclaiming at %v (owner=%v)\n", o, c.node, c.dsm.IsOwner(o))
-				}
 				rfl := gfl
 				if c.dsm.IsOwner(o) {
 					rfl |= obs.FlagOwned
@@ -581,9 +574,6 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 			continue // cross-bunch edges are represented by SSPs, not traced
 		}
 		live[o] = strength
-		if o == TraceOID && !quiet {
-			fmt.Printf("TRACEOID %v: live (strength %d) at %v\n", o, strength, c.node)
-		}
 		a, ok := c.heap.Canonical(o)
 		if !ok {
 			if !quiet {

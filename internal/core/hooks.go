@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"bmx/internal/addr"
 	"bmx/internal/dsm"
 	"bmx/internal/mem"
@@ -89,9 +87,6 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 	// foreign manifest must not move it (only the owner copies an object,
 	// §4.2).
 	if c.dsm.IsOwner(m.OID) {
-		if m.OID == TraceOID {
-			fmt.Printf("TRACEOID %v: manifest at %v skipped (owner)\n", m.OID, c.node)
-		}
 		return
 	}
 	// Out-of-order protection: background messages from different senders
@@ -100,11 +95,7 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 	// pointer over good data.
 	c.locMu.Lock()
 	if m.Epoch < c.locEpoch[m.OID] {
-		cur := c.locEpoch[m.OID]
 		c.locMu.Unlock()
-		if m.OID == TraceOID {
-			fmt.Printf("TRACEOID %v: manifest at %v stale epoch %d < %d\n", m.OID, c.node, m.Epoch, cur)
-		}
 		c.stats().Add("core.loc.staleEpoch", 1)
 		return
 	}
@@ -124,10 +115,6 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 		}
 	}
 	cur, known := c.heap.Canonical(m.OID)
-	if m.OID == TraceOID {
-		fmt.Printf("TRACEOID %v: manifest at %v from %v addr=%v (cur=%v known=%v)\n",
-			m.OID, c.node, from, m.Addr, cur, known)
-	}
 	if known && cur == m.Addr {
 		return // idempotent re-delivery
 	}
@@ -149,9 +136,6 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 		src := c.heap.Resolve(cur)
 		if src != m.Addr && c.heap.Mapped(src) && c.heap.IsObjectAt(src) &&
 			c.heap.ObjOID(src) == m.OID {
-			if m.OID == TraceOID {
-				fmt.Printf("TRACEOID %v: manifest at %v applied src=%v (cur=%v) fwd -> %v\n", m.OID, c.node, src, cur, m.Addr)
-			}
 			c.heap.CopyObject(src, m.Addr)
 			c.heap.SetFwd(src, m.Addr)
 		}
@@ -196,10 +180,6 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, from addr.NodeID) {
 	}
 	c.applyManifest(img.Manifest, from)
 	a, ok := c.heap.Canonical(img.OID)
-	if img.OID == TraceOID {
-		fmt.Printf("TRACEOID %v: InstallImage at %v from %v manAddr=%v canonical=%v ok=%v\n",
-			img.OID, c.node, from, img.Addr, a, ok)
-	}
 	if !ok || !c.heap.Mapped(a) {
 		return
 	}

@@ -27,9 +27,9 @@ const (
 	// KindCopyOut asks an object's owner to copy it out of a from-space
 	// segment about to be reused (§4.5).
 	KindCopyOut = "gc.copyOut"
-	// KindAddrChange informs a replica holder of the address changes in a
-	// from-space segment being reclaimed, and asks it to evacuate its own
-	// objects and unmap its replica of the segment (§4.5).
+	// KindAddrChange informs a replica holder of the address changes in the
+	// from-space segments being reclaimed, and asks it to evacuate its own
+	// objects and unmap its replicas of the segments (§4.5).
 	KindAddrChange = "gc.addrChange"
 	// KindDeadNotice tells an object's allocation site (the routing
 	// anchor) that the owner reclaimed the object, so the forwarding stub
@@ -62,23 +62,14 @@ type CopyOutReply struct {
 	NotOwned  map[addr.OID]addr.NodeID
 }
 
-// AddrChangeMsg is the payload of KindAddrChange.
+// AddrChangeMsg is the payload of KindAddrChange: one §4.5 round's doomed
+// segments of a bunch, and the location updates the receiver still needs
+// (its pending queue plus the segments' relocated objects).
 type AddrChangeMsg struct {
 	From      addr.NodeID
 	Bunch     addr.BunchID
-	Seg       addr.SegID
+	Segs      []addr.SegID
 	Manifests []dsm.Manifest
-	// Headers names every object whose header lies in the doomed segment,
-	// by old address. Only the segment's creator allocates into it, so the
-	// initiator knows them all; receivers use the table to rewrite words
-	// they could not resolve through local state.
-	Headers []SegHeader
-}
-
-// SegHeader is one (old address, identity) pair of a doomed segment.
-type SegHeader struct {
-	Old addr.Addr
-	OID addr.OID
 }
 
 // HandleCall serves synchronous GC requests routed from the network.
@@ -236,7 +227,7 @@ func (c *Collector) moveOwnedObjectLocked(o addr.OID) (dsm.Manifest, bool) {
 	size := c.heap.ObjSize(old)
 	rep.segMu.Lock()
 	if rep.allocSeg == nil || rep.allocSeg.FreeWords() < size+mem.HeaderWords {
-		rep.allocSeg = c.heap.MapSegment(c.dir.AddSegment(b))
+		rep.allocSeg = c.newAllocSeg(b)
 	}
 	seg := rep.allocSeg
 	rep.segMu.Unlock()
@@ -248,9 +239,6 @@ func (c *Collector) moveOwnedObjectLocked(o addr.OID) (dsm.Manifest, bool) {
 	}
 	for i := 0; i < size; i++ {
 		c.heap.SetField(to, i, c.heap.GetField(old, i), c.heap.IsRefField(old, i))
-	}
-	if o == TraceOID {
-		fmt.Printf("TRACEOID %v: moveOwnedObject at %v %v -> %v\n", o, c.node, old, to)
 	}
 	c.heap.SetFwd(old, to)
 	c.heap.SetCanonical(o, to)
@@ -268,60 +256,14 @@ func (c *Collector) moveOwnedObjectLocked(o addr.OID) (dsm.Manifest, bool) {
 
 // serveAddrChange participates in another node's from-space reuse round
 // (§4.5): apply the address changes, evacuate any of our own objects still
-// resident in the doomed segment, rewrite local references into it, and
-// unmap the local replica.
+// resident in the doomed segments, rewrite local references into them, and
+// unmap the local replicas.
 func (c *Collector) serveAddrChange(msg AddrChangeMsg) {
-	c.rememberTombstones(msg.Headers)
 	c.ApplyManifests(msg.Manifests, msg.From)
-	c.evacuateSegment(msg.Bunch, msg.Seg)
-	meta := c.dir.Allocator().Meta(msg.Seg)
-	if meta != nil {
-		c.rewriteRefsInto(meta, headerTable(msg.Headers))
-	}
-	c.dropCanonicalsIn(msg.Seg)
-	c.heap.UnmapSegment(msg.Seg)
+	doomed := c.doomedSet(msg.Segs)
+	c.evacuate(doomed)
+	c.forgetDoomed(doomed)
 	c.stats().Add("core.reclaim.participated", 1)
-}
-
-func headerTable(hs []SegHeader) map[addr.Addr]addr.OID {
-	out := make(map[addr.Addr]addr.OID, len(hs))
-	for _, h := range hs {
-		out[h.Old] = h.OID
-	}
-	return out
-}
-
-// evacuateSegment rescues every object whose local canonical address lies in
-// segment seg: owned objects are moved locally; non-owned ones are copied
-// out by their owner.
-func (c *Collector) evacuateSegment(b addr.BunchID, seg addr.SegID) {
-	s := c.heap.Seg(seg)
-	if s == nil {
-		return
-	}
-	var mine, theirs []addr.OID
-	for _, a := range s.Objects() {
-		if c.heap.Forwarded(a) {
-			continue
-		}
-		o := c.heap.ObjOID(a)
-		can, ok := c.heap.Canonical(o)
-		if !ok || can != a {
-			continue // dead here, or already relocated
-		}
-		if c.dsm.IsOwner(o) {
-			mine = append(mine, o)
-		} else if c.dsm.Knows(o) {
-			theirs = append(theirs, o)
-		}
-	}
-	if debugReclaim {
-		fmt.Printf("EVACDBG node %v seg %v: mine=%v theirs=%v\n", c.node, seg, mine, theirs)
-	}
-	for _, o := range mine {
-		c.moveOwnedObject(o)
-	}
-	c.requestCopyOut(theirs)
 }
 
 // requestCopyOut asks the owners of the given objects to copy them into
@@ -375,10 +317,6 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 				continue
 			}
 			rep := raw.(CopyOutReply)
-			if debugReclaim {
-				fmt.Printf("COPYOUTDBG node %v <- %v: manifests=%v notOwned=%v\n",
-					c.node, t.node, rep.Manifests, rep.NotOwned)
-			}
 			c.ApplyManifests(rep.Manifests, t.node)
 			for o, hint := range rep.NotOwned {
 				if hint != addr.NoNode && hint != c.node {
@@ -392,100 +330,3 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 		pendingOIDs = next
 	}
 }
-
-// rewriteRefsInto rewrites every local pointer word — and every forwarding
-// pointer in other segments — that points into the given segment through
-// the forwarding pointers resident there, so the segment holds no
-// forwarding pointer anybody still needs (§4.5). Without the second pass, a
-// forwarding chain hopping through the doomed segment would dangle once it
-// is unmapped.
-func (c *Collector) rewriteRefsInto(target *mem.SegmentMeta, headers map[addr.Addr]addr.OID) {
-	for _, id := range c.heap.Segments() {
-		s := c.heap.Seg(id)
-		base := s.Meta.Base
-		for _, off := range s.RefWords() {
-			a := base.AddWords(off)
-			w := addr.Addr(c.heap.Word(a))
-			if w.IsNil() || !target.Contains(w) {
-				continue
-			}
-			if r, ok := c.escapeDoomed(target, w, headers); ok {
-				c.heap.SetWord(a, uint64(r))
-				c.stats().Add("core.reclaim.refsRewritten", 1)
-			}
-		}
-		if s.Meta.ID == target.ID {
-			continue
-		}
-		for _, h := range s.Objects() {
-			if !c.heap.Forwarded(h) {
-				continue
-			}
-			fwd := c.heap.Fwd(h)
-			if !target.Contains(fwd) {
-				continue
-			}
-			if r, ok := c.escapeDoomed(target, fwd, headers); ok {
-				c.heap.SetFwd(h, r)
-				c.stats().Add("core.reclaim.fwdsRewritten", 1)
-			}
-		}
-	}
-}
-
-// escapeDoomed finds the current address of whatever w (inside the doomed
-// segment) refers to: through the local forwarding pointer when one exists,
-// via the object header under w and the canonical map, or via the
-// initiator's header table — a replica may hold old words for an object
-// whose header it never materialized. Returns false when nothing better
-// than w is known (then w is a reference inside stale garbage).
-func (c *Collector) escapeDoomed(target *mem.SegmentMeta, w addr.Addr, headers map[addr.Addr]addr.OID) (addr.Addr, bool) {
-	if r := c.heap.Resolve(w); r != w && !target.Contains(r) {
-		return r, true
-	}
-	oid := addr.NilOID
-	if c.heap.Mapped(w) && c.heap.IsObjectAt(w) {
-		oid = c.heap.ObjOID(w)
-	} else if headers != nil {
-		oid = headers[w]
-	}
-	if !oid.IsNil() {
-		if can, ok := c.heap.Canonical(oid); ok {
-			if can = c.heap.Resolve(can); can != w && !target.Contains(can) {
-				return can, true
-			}
-		}
-	}
-	c.stats().Add("core.reclaim.unresolved", 1)
-	return addr.NilAddr, false
-}
-
-// dropCanonicalsIn forgets canonical addresses still inside a segment being
-// reclaimed. Anything still here is stale: live objects were evacuated.
-func (c *Collector) dropCanonicalsIn(seg addr.SegID) {
-	meta := c.dir.Allocator().Meta(seg)
-	if meta == nil {
-		return
-	}
-	for _, o := range c.heap.KnownObjects() {
-		if a, ok := c.heap.Canonical(o); ok && meta.Contains(a) {
-			if debugReclaim {
-				fmt.Printf("DROPDBG node %v: dropping %v canonical %v (knows=%v owner=%v ownerPtr=%v fwd=%v objAt=%v)\n",
-					c.node, o, a, c.dsm.Knows(o), c.dsm.IsOwner(o), c.dsm.OwnerPtrOf(o),
-					c.heap.Forwarded(a), c.heap.IsObjectAt(a))
-			}
-			c.heap.DropObject(o)
-			if c.heap.IsObjectAt(a) && c.heap.ObjOID(a) != o {
-				// The address was reused under a stale canonical: only the
-				// pointer is bogus, the protocol state (ownership, copy-set,
-				// entering ownerPtrs) is still real and still routes.
-				continue
-			}
-			c.dsm.Forget(o)
-			c.stats().Add("core.reclaim.staleDropped", 1)
-		}
-	}
-}
-
-// debugReclaim enables verbose reclaim diagnostics (tests only).
-var debugReclaim = false

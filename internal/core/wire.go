@@ -73,21 +73,15 @@ func readCopyOutReply(r *transport.WireReader) CopyOutReply {
 func appendAddrChangeMsg(dst []byte, m AddrChangeMsg) []byte {
 	dst = transport.AppendNodeID(dst, m.From)
 	dst = transport.AppendUint(dst, m.Bunch)
-	dst = transport.AppendUint(dst, m.Seg)
-	dst = dsm.AppendManifests(dst, m.Manifests)
-	return transport.AppendSlice(dst, m.Headers, func(dst []byte, h SegHeader) []byte {
-		return transport.AppendUint(transport.AppendUint(dst, h.Old), h.OID)
-	})
+	dst = transport.AppendSlice(dst, m.Segs, transport.AppendUint[addr.SegID])
+	return dsm.AppendManifests(dst, m.Manifests)
 }
 
 func readAddrChangeMsg(r *transport.WireReader) AddrChangeMsg {
 	return AddrChangeMsg{
 		From:      r.NodeID(),
 		Bunch:     transport.ReadUint[addr.BunchID](r),
-		Seg:       transport.ReadUint[addr.SegID](r),
+		Segs:      transport.ReadSlice(r, 1, transport.ReadUint[addr.SegID]),
 		Manifests: dsm.ReadManifests(r),
-		Headers: transport.ReadSlice(r, 2, func(r *transport.WireReader) SegHeader {
-			return SegHeader{Old: transport.ReadUint[addr.Addr](r), OID: transport.ReadUint[addr.OID](r)}
-		}),
 	}
 }

@@ -23,9 +23,8 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		CopyOutReply{Manifests: []dsm.Manifest{}, NotOwned: map[addr.OID]addr.NodeID{}},
 		CopyOutReply{Manifests: []dsm.Manifest{m},
 			NotOwned: map[addr.OID]addr.NodeID{9: 0, 1: 2, math.MaxUint64: addr.NoNode}},
-		AddrChangeMsg{From: 1, Bunch: 2, Seg: addr.NoSeg, Manifests: []dsm.Manifest{m},
-			Headers: []SegHeader{{Old: 0x2000, OID: 3}, {}}},
-		AddrChangeMsg{Headers: []SegHeader{}},
+		AddrChangeMsg{From: 1, Bunch: 2, Segs: []addr.SegID{0, 7, addr.NoSeg}, Manifests: []dsm.Manifest{m, {}}},
+		AddrChangeMsg{Segs: []addr.SegID{}, Manifests: []dsm.Manifest{}},
 	} {
 		wiretest.RoundTrip(t, v)
 	}

@@ -53,21 +53,27 @@ func (h *Heap) MapSegment(m *SegmentMeta) *Segment {
 	return s
 }
 
-// UnmapSegment drops the local replica of segment id and forgets the
-// canonical addresses that pointed into it.
-func (h *Heap) UnmapSegment(id addr.SegID) {
+// UnmapSegments drops the local replicas of the given segments and forgets
+// the canonical addresses that pointed into them, in one pass over the
+// canonical map. Segments not mapped here are ignored.
+func (h *Heap) UnmapSegments(ids ...addr.SegID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s, ok := h.segs[id]
-	if !ok {
+	gone := make(map[addr.SegID]bool, len(ids))
+	for _, id := range ids {
+		if _, ok := h.segs[id]; ok {
+			gone[id] = true
+			delete(h.segs, id)
+		}
+	}
+	if len(gone) == 0 {
 		return
 	}
 	for oid, a := range h.objs {
-		if s.Contains(a) {
+		if id, ok := h.alloc.SegIDOf(a); ok && gone[id] {
 			delete(h.objs, oid)
 		}
 	}
-	delete(h.segs, id)
 }
 
 // Seg returns the local replica of segment id, or nil if not mapped.

@@ -269,14 +269,14 @@ func TestUnmapSegment(t *testing.T) {
 	m := a.NewSegment(1)
 	s := h.MapSegment(m)
 	oa, _ := h.Alloc(s, 1, 1)
-	h.UnmapSegment(m.ID)
+	h.UnmapSegments(m.ID)
 	if h.Mapped(oa) {
 		t.Fatal("still mapped")
 	}
 	if _, ok := h.Canonical(1); ok {
 		t.Fatal("canonical address survived unmap")
 	}
-	h.UnmapSegment(m.ID) // idempotent
+	h.UnmapSegments(m.ID) // idempotent
 }
 
 func TestCopyContentsFrom(t *testing.T) {

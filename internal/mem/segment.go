@@ -208,11 +208,22 @@ func (a *Allocator) adoptLocked(m SegmentMeta) *SegmentMeta {
 // Lookup returns the descriptor of the segment containing address x, or nil
 // if x is outside every allocated segment.
 func (a *Allocator) Lookup(x addr.Addr) *SegmentMeta {
-	if x < SegBase {
+	id, ok := a.SegIDOf(x)
+	if !ok {
 		return nil
 	}
-	idx := int(uint64(x-SegBase) / uint64(a.segWords*addr.WordBytes))
-	return a.Meta(addr.SegID(idx))
+	return a.Meta(id)
+}
+
+// SegIDOf returns the ID of the segment whose address range would hold x,
+// by address arithmetic alone: no descriptor is consulted, so a mirror
+// never fetches one. It reports false for addresses below the segment
+// region.
+func (a *Allocator) SegIDOf(x addr.Addr) (addr.SegID, bool) {
+	if x < SegBase {
+		return addr.NoSeg, false
+	}
+	return addr.SegID(uint64(x-SegBase) / uint64(a.segWords*addr.WordBytes)), true
 }
 
 // BunchSegments returns the descriptors of every segment belonging to bunch

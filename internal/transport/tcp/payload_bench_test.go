@@ -36,9 +36,9 @@ func BenchmarkPayloadCodec(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		batch.Entries = append(batch.Entries, dsm.LocMsg{O: addr.OID(100 + i), From: 1, Manifests: mans(1)})
 	}
-	headers := make([]core.SegHeader, 16)
-	for i := range headers {
-		headers[i] = core.SegHeader{Old: addr.Addr(0x20000 + 64*i), OID: addr.OID(100 + i)}
+	segs := make([]addr.SegID, 16)
+	for i := range segs {
+		segs[i] = addr.SegID(40 + i)
 	}
 	inter := make([]ssp.InterStub, 8)
 	for i := range inter {
@@ -54,7 +54,7 @@ func BenchmarkPayloadCodec(b *testing.B) {
 		{"LocBatchMsg", batch},
 		{"LocFlushMsg", core.LocFlushMsg{From: 1, Manifests: mans(16)}},
 		{"CopyOutReply", core.CopyOutReply{Manifests: mans(8), NotOwned: map[addr.OID]addr.NodeID{300: 0, 301: 2}}},
-		{"AddrChangeMsg", core.AddrChangeMsg{From: 1, Bunch: 1, Seg: 4, Manifests: mans(16), Headers: headers}},
+		{"AddrChangeMsg", core.AddrChangeMsg{From: 1, Bunch: 1, Segs: segs, Manifests: mans(16)}},
 		{"ScionMsg", ssp.ScionMsg{Scion: ssp.InterScion{TargetOID: 200, TargetBunch: 2, SrcOID: 100, SrcBunch: 1, SrcNode: 1, CreatedGen: 5}}},
 		{"TableMsg", ssp.TableMsg{From: 1, Bunch: 1, Gen: 9, InterStubs: inter,
 			IntraStubs: []ssp.IntraStub{{OID: 120, Bunch: 1, OldOwner: 0}}, Exiting: oids(16), Derivative: oids(2)}},

@@ -88,7 +88,11 @@ type Transport struct {
 	lossRate float64
 	plan     transport.FaultPlan
 	rng      *rand.Rand
-	closed   bool
+	// closing is set when Close begins: no new delivery or served call
+	// starts, while the ones already running finish (handling) with every
+	// stream still up. closed is set once the streams are being severed.
+	closing bool
+	closed  bool
 	// routed is closed and replaced whenever a route is installed, waking
 	// WaitForNodes; guarded by mu.
 	routed chan struct{}
@@ -101,6 +105,10 @@ type Transport struct {
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+	// handling counts the running handlers: one per inbox loop and one per
+	// call being served. Add happens under mu while !closing, so Close's
+	// wait never races an Add from zero.
+	handling sync.WaitGroup
 }
 
 // Transport implements the full transport.Network contract.
@@ -168,7 +176,7 @@ func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.Ca
 	t.mu.Lock()
 	t.handlers[id] = h
 	t.callees[id] = c
-	if t.inboxes[id] == nil {
+	if t.inboxes[id] == nil && !t.closing {
 		ib := newInbox(t, id)
 		t.inboxes[id] = ib
 		local := make(map[addr.NodeID]struct{}, len(t.inboxes))
@@ -176,7 +184,7 @@ func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.Ca
 			local[n] = struct{}{}
 		}
 		t.local.Store(&local)
-		t.wg.Add(1)
+		t.handling.Add(1)
 		go ib.loop()
 	}
 	hello := t.helloLocked()
@@ -473,18 +481,31 @@ func (t *Transport) WaitForNodes(want int, timeout time.Duration) error {
 	}
 }
 
-// Close shuts the listener, severs every stream, fails in-flight calls
-// and stops the delivery goroutines.
+// Close shuts the transport down in two phases. First it stops delivery,
+// refuses new inbound calls, and waits (up to CallTimeout) for the
+// handlers already running to return, with every stream still up: a
+// handler's outgoing calls keep working, so it never sees its own
+// transport vanish under it. Then it shuts the listener, severs every
+// stream, fails in-flight calls, and returns once every goroutine it
+// started — handlers included — has exited.
 func (t *Transport) Close() error {
+	t.mu.Lock()
+	t.closing = true
+	inboxes := make([]*inbox, 0, len(t.inboxes))
+	for _, ib := range t.inboxes {
+		inboxes = append(inboxes, ib)
+	}
+	t.mu.Unlock()
+	for _, ib := range inboxes {
+		ib.stop()
+	}
+	t.awaitHandlers()
+
 	t.mu.Lock()
 	t.closed = true
 	conns := make([]*conn, 0, len(t.conns))
 	for _, c := range t.conns {
 		conns = append(conns, c)
-	}
-	inboxes := make([]*inbox, 0, len(t.inboxes))
-	for _, ib := range t.inboxes {
-		inboxes = append(inboxes, ib)
 	}
 	t.mu.Unlock()
 
@@ -493,11 +514,26 @@ func (t *Transport) Close() error {
 	for _, c := range conns {
 		c.close()
 	}
-	for _, ib := range inboxes {
-		ib.stop()
-	}
 	t.wg.Wait()
+	t.handling.Wait()
 	return err
+}
+
+// awaitHandlers waits for the running handlers to return, or for
+// CallTimeout: a handler stuck longer than any call it could be waiting on
+// is left to the stream teardown to unblock.
+func (t *Transport) awaitHandlers() {
+	drained := make(chan struct{})
+	go func() {
+		t.handling.Wait()
+		close(drained)
+	}()
+	timer := time.NewTimer(t.opts.CallTimeout)
+	defer timer.Stop()
+	select {
+	case <-drained:
+	case <-timer.C:
+	}
 }
 
 // --- transport.Network driver-pacing surface -------------------------------
@@ -840,14 +876,22 @@ func (t *Transport) deliverRemote(f frame) {
 func (t *Transport) serveCall(c *conn, f frame) {
 	t.mu.Lock()
 	callee := t.callees[f.To]
+	closing := t.closing
+	if !closing {
+		t.handling.Add(1)
+		defer t.handling.Done()
+	}
 	t.mu.Unlock()
 
 	rf := frame{Type: frameReply, ReqID: f.ReqID}
 	var reply any
 	var err error
-	if callee == nil {
+	switch {
+	case closing:
+		err = fmt.Errorf("tcp: call %s: %v is shutting down: %w", f.Kind, f.To, transport.ErrPartitioned)
+	case callee == nil:
 		err = fmt.Errorf("tcp: no call handler registered for %v", f.To)
-	} else {
+	default:
 		var payload any
 		payload, err = decodePayload(f.Payload)
 		if err == nil {
@@ -1074,7 +1118,7 @@ func (ib *inbox) stop() {
 }
 
 func (ib *inbox) loop() {
-	defer ib.t.wg.Done()
+	defer ib.t.handling.Done()
 	for {
 		ib.mu.Lock()
 		for len(ib.q) == 0 && !ib.stopped {

@@ -525,3 +525,71 @@ func TestCallsDuringMutualDialDedup(t *testing.T) {
 		}
 	}
 }
+
+func isClosing(t *Transport) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.closing
+}
+
+// Close lets the handlers already running finish with the transport still
+// up: a delivery handler and a served call that each call a peer after
+// Close has begun on their own transport both get answers, and Close
+// returns only after them. A call arriving during the shutdown is refused
+// at once rather than left to time out.
+func TestCloseLetsRunningHandlersFinish(t *testing.T) {
+	a, b := twoTransports(t)
+	a.Register(0, nil, func(m transport.Msg) (any, int, error) { return "pong", 4, nil })
+	var started sync.WaitGroup
+	started.Add(2)
+	release := make(chan struct{})
+	results := make(chan error, 2)
+	handler := func() {
+		started.Done()
+		<-release
+		_, err := b.Call(transport.Msg{From: 1, To: 0, Kind: "ping"})
+		results <- err
+	}
+	b.Register(1, func(m transport.Msg) { handler() },
+		func(m transport.Msg) (any, int, error) { handler(); return "ok", 2, nil })
+	for _, tr := range []*Transport{a, b} {
+		if err := tr.WaitForNodes(1, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Send(transport.Msg{From: 0, To: 1, Kind: "deliver"})
+	// The reply to this call may be lost with the stream; only the
+	// callee's own outgoing call matters here.
+	go a.Call(transport.Msg{From: 0, To: 1, Kind: "serve"})
+	started.Wait()
+
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to begin", func() bool { return isClosing(b) })
+	start := time.Now()
+	if _, err := a.Call(transport.Msg{From: 0, To: 1, Kind: "late"}); !errors.Is(err, transport.ErrPartitioned) {
+		t.Fatalf("call during shutdown: err = %v, want ErrPartitioned", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("call during shutdown took %v to be refused", d)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while handlers were still running")
+	default:
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("handler's call while its transport was closing: %v", err)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after its handlers finished")
+	}
+}
