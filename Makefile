@@ -55,12 +55,7 @@ bench:
 # acquires) must survive the move to real sockets. The BENCH_9 pair runs the
 # skewed-locality workloads — zipf (hot-object head) and churn-heavy
 # (allocation/death storm) — whose remote-access ratio and owner-mismatch
-# count the regression gate watches. The BENCH_10 pair re-runs the zipf
-# workload with the locality optimisations on — heat-driven ownership
-# migration plus the remote-acquire fast path (coalesced location updates,
-# ownerPtr hint cache) — and with coalescing alone; the A/B claim against
-# BENCH_9_zipf (lower remote-access ratio and owner-chain hops, msgs/op no
-# worse) is pinned by TestMigrationBenchBeatsBaseline.
+# count the regression gate watches.
 bench-json: bench-json-sim bench-json-tcp
 	$(GO) run ./cmd/bmxstat -bench BENCH_7_simnet.json -diff BENCH_7_tcp.json
 
@@ -74,19 +69,17 @@ bench-json-sim:
 	$(GO) run ./cmd/bmxd -nodes 3 -objects 120 -rounds 8 -workload tree -seed 5 -bench-json BENCH_7_simnet.json
 	$(GO) run ./cmd/bmxd -nodes 3 -objects 150 -rounds 8 -workload zipf -zipf-s 1.2 -seed 5 -bench-json BENCH_9_zipf.json
 	$(GO) run ./cmd/bmxd -nodes 3 -objects 60 -rounds 8 -workload churn-heavy -seed 5 -bench-json BENCH_9_churn.json
-	$(GO) run ./cmd/bmxd -nodes 3 -objects 150 -rounds 8 -workload zipf -zipf-s 1.2 -seed 5 -migrate -coalesce-loc -hint-cache -bench-json BENCH_10_zipf_migrate.json
-	$(GO) run ./cmd/bmxd -nodes 3 -objects 150 -rounds 8 -workload zipf -zipf-s 1.2 -seed 5 -coalesce-loc -bench-json BENCH_10_coalesce.json
 
 # Regenerate the committed regression-gate reference from a fresh run of
 # the deterministic simnet benchmarks. Commit the result when a change
 # legitimately moves the numbers.
 bench-ref: bench-json-sim
-	$(GO) run ./cmd/bmxstat -make-ref -bench BENCH_4.json,BENCH_5.json,BENCH_6_pertx.json,BENCH_6_flip.json,BENCH_6_flatfs.json,BENCH_6_lsm.json,BENCH_7_simnet.json,BENCH_9_zipf.json,BENCH_9_churn.json,BENCH_10_zipf_migrate.json,BENCH_10_coalesce.json > BENCH_REF.json
+	$(GO) run ./cmd/bmxstat -make-ref -bench BENCH_4.json,BENCH_5.json,BENCH_6_pertx.json,BENCH_6_flip.json,BENCH_6_flatfs.json,BENCH_6_lsm.json,BENCH_7_simnet.json,BENCH_9_zipf.json,BENCH_9_churn.json > BENCH_REF.json
 
 # Gate the current deterministic benchmarks against the committed reference;
 # exits non-zero on drift beyond 25%. Same check CI runs in metrics-smoke.
 bench-gate: bench-json-sim
-	for b in BENCH_4 BENCH_5 BENCH_6_pertx BENCH_6_flip BENCH_6_flatfs BENCH_6_lsm BENCH_7_simnet BENCH_9_zipf BENCH_9_churn BENCH_10_zipf_migrate BENCH_10_coalesce; do \
+	for b in BENCH_4 BENCH_5 BENCH_6_pertx BENCH_6_flip BENCH_6_flatfs BENCH_6_lsm BENCH_7_simnet BENCH_9_zipf BENCH_9_churn; do \
 		$(GO) run ./cmd/bmxstat -bench $$b.json -ref BENCH_REF.json -gate 25 || exit 1; \
 	done
 

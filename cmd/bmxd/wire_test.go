@@ -22,7 +22,7 @@ import (
 // renumbered or dropped must be reflected here on purpose.
 var wantPayloadTags = []string{
 	"1 int", "2 int64", "3 uint64", "4 string", "5 bool", "6 []uint8", "7 []uint64", "8 []string",
-	"16 dsm.acquireReq", "17 dsm.acquireReply", "18 dsm.invalidateReq", "19 dsm.LocMsg", "20 dsm.LocBatchMsg",
+	"16 dsm.acquireReq", "17 dsm.acquireReply", "18 dsm.invalidateReq", "19 dsm.LocMsg",
 	"32 core.LocFlushMsg", "33 core.DeadNoticeMsg", "34 core.CopyOutReq", "35 core.CopyOutReply", "36 core.AddrChangeMsg",
 	"48 ssp.ScionMsg", "49 ssp.TableMsg",
 	"64 cluster.mapBunchReq", "65 cluster.mapBunchReply", "66 cluster.dirReq", "67 cluster.dirReply",
@@ -36,6 +36,11 @@ func TestPayloadTagTable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, wantPayloadTags) {
 		t.Fatalf("payload tag table changed:\n got %q\nwant %q", got, wantPayloadTags)
+	}
+	// Tag 20 is retired (it carried dsm.locBatch): a payload naming it is
+	// an unknown tag and must not decode.
+	if v, err := transport.DecodePayload([]byte{20, 0, 0}); err == nil {
+		t.Fatalf("retired tag 20 decoded as %T", v)
 	}
 }
 
@@ -85,7 +90,10 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
+	// The retired tag 20 (once dsm.locBatch): followed by a huge count,
+	// and followed by a one-entry batch as an older binary encoded it.
 	f.Add([]byte{20, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{20, 1, 1, 5, 1, 0})
 	// An acquireReply (tag 17) whose RefMask count is near 2^64.
 	f.Add([]byte{17, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	// The address-change layout (tag 36): from, bunch, the round's segment

@@ -83,7 +83,7 @@ func gateViolations(cur, ref obs.BenchSummary, pct float64) []string {
 	if !math.IsNaN(cur.SyncsPerFlip) && !math.IsNaN(ref.SyncsPerFlip) {
 		worse("syncs-per-flip", cur.SyncsPerFlip, ref.SyncsPerFlip)
 	}
-	// The locality pair: a placement or protocol change that makes acquires
+	// The locality pair: a protocol or driver change that makes acquires
 	// leave their node more often, or strands more objects away from their
 	// dominant writer, regresses the figure the heat table exists to watch.
 	worse("remote-access-ratio", cur.RemoteAccessRatio, ref.RemoteAccessRatio)

@@ -9,7 +9,6 @@ import (
 	"bmx/internal/addr"
 	"bmx/internal/dsm"
 	"bmx/internal/obs"
-	"bmx/internal/place"
 	"bmx/internal/transport"
 )
 
@@ -46,12 +45,6 @@ type ChaosConfig struct {
 	// carries the retained event window, so a failed run's last moments can
 	// be dumped (bmxd -chaos -trace, and the CI failure artifact).
 	Trace bool
-
-	// Migrate enables the heat-driven placement engine (default config)
-	// for the soak: ownership migrations race the fault storm, and the
-	// convergence audit then also proves no write token was lost to a
-	// migration that straddled a partition.
-	Migrate bool
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -145,9 +138,6 @@ func runChaos(cl *Cluster, cfg ChaosConfig) ChaosReport {
 	rep := ChaosReport{Steps: cfg.Steps}
 	if cfg.Trace {
 		cl.EnableTracing()
-	}
-	if cfg.Migrate {
-		cl.EnablePlacement(place.Config{})
 	}
 
 	// Fixed topology: Bunches bunches created round-robin across the

@@ -30,7 +30,6 @@ import (
 	"bmx/internal/mem"
 	"bmx/internal/obs"
 	"bmx/internal/obs/heat"
-	"bmx/internal/place"
 	"bmx/internal/rvm"
 	"bmx/internal/simnet"
 	"bmx/internal/store"
@@ -67,16 +66,6 @@ type Config struct {
 	// page-grain DSM false sharing (§10's granularity question). Segment
 	// grain is supported by the deterministic single driver only.
 	SegmentGrainTokens bool
-	// CoalesceLocUpdates switches the dsm layer's per-destination
-	// coalescing of invariant-2 location updates on: forwardManifests
-	// batches one dsm.locBatch per destination per bracket instead of one
-	// dsm.locUpdate per copy-set member per object. Protocol state is
-	// byte-identical either way; only the message count and framing differ.
-	CoalesceLocUpdates bool
-	// OwnerHintCache switches the dsm layer's ownerPtr hint cache on:
-	// grant replies teach requesters and chain nodes where tokens went, so
-	// future chains (and fresh protocol state) start closer to the owner.
-	OwnerHintCache bool
 	// Transport overrides the communication substrate. Nil means a
 	// simnet.Network built from the Seed/LossRate/latency fields above —
 	// the deterministic simulated cluster.
@@ -142,9 +131,6 @@ type Cluster struct {
 	// one atomic load while it is disabled. Run closes one decay epoch per
 	// drain — the same round boundary the sampler uses.
 	heat *heat.Table
-	// placer, when enabled, turns the heat table's migration advice into
-	// proactive ownership transfers at the same Run boundary (place.go).
-	placer *place.Engine
 }
 
 // Node is one site of the cluster: its heap, protocol engine, collector and
@@ -206,10 +192,6 @@ func New(cfg Config) *Cluster {
 		col := core.NewCollector(id, heap, cl.dir, n.tr, cfg.Costs)
 		d := dsm.NewNode(id, n.tr, col, cfg.Nodes)
 		d.SetProtocol(cfg.Consistency)
-		d.SetCoalesceLoc(cfg.CoalesceLocUpdates)
-		if cfg.OwnerHintCache {
-			d.EnableHintCache()
-		}
 		col.SetDSM(d)
 		n.col, n.dsm = col, d
 		if cfg.WithDisk || cfg.Store != nil {
@@ -355,9 +337,6 @@ func (cl *Cluster) Run(limit int) int {
 	n := cl.net.Run(limit)
 	cl.Sample()
 	cl.heat.Advance()
-	if cl.placer != nil {
-		cl.migrate()
-	}
 	return n
 }
 

@@ -3,6 +3,7 @@ package dsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"bmx/internal/addr"
@@ -101,13 +102,6 @@ type Node struct {
 	// load while the table is disabled).
 	heat *heat.Table
 
-	// Fast-path state (fastpath.go); all inert until the setters run.
-	coalesceLoc bool
-	outbox      map[addr.NodeID]*locBatch
-	outboxOrder []addr.NodeID
-	hintsOn     bool
-	hints       map[addr.OID]addr.NodeID
-	hintOrder   []addr.OID
 	// scratch is the reusable sortedNodes buffer (takeSorted).
 	scratch []addr.NodeID
 }
@@ -197,14 +191,9 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 	}
 	if target == n.id {
 		// The chain starts at this node's own allocation-site hint but the
-		// local route is gone (the replica was reclaimed here). A cached
-		// granter hint shortcuts the probe; otherwise try any other
-		// plausible owner before concluding the object is unowned.
-		if h, ok := n.cachedHint(o); ok && h != n.id {
-			target = h
-		} else {
-			target = n.routeAround(o, []addr.NodeID{n.id})
-		}
+		// local route is gone (the replica was reclaimed here). Try any
+		// other plausible owner before concluding the object is unowned.
+		target = n.routeAround(o, []addr.NodeID{n.id})
 		if target == addr.NoNode {
 			if n.reestablish(o, st, mode, class) {
 				return nil
@@ -267,7 +256,6 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 	rep := raw.(acquireReply)
 
 	// Invariant 1: addresses become valid before the acquire completes.
-	n.dropHints(rep.Manifests)
 	n.hooks.ApplyManifests(rep.Manifests, rep.Granter)
 	n.hooks.InstallImage(rep.Image, rep.Granter)
 	if rep.Intra != nil {
@@ -294,10 +282,6 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 		st.Mode = ModeRead
 		st.Owner = false
 		st.OwnerPtr = rep.Granter
-		// Remember the granter beyond this replica's lifetime: if the local
-		// state is reclaimed, the next acquire starts its chain here instead
-		// of at the directory's (possibly staler) allocation-site hint.
-		n.noteHint(o, rep.Granter)
 	}
 
 	elapsed := watch.Elapsed()
@@ -309,7 +293,6 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 
 	// Invariant 2: push the location updates down the local copy-set.
 	n.forwardManifests(o, rep.Manifests, class)
-	n.flushLocOutbox(class)
 	return nil
 }
 
@@ -333,7 +316,6 @@ func (n *Node) HandleCall(m transport.Msg) (any, int, error) {
 	case KindAcquire:
 		req := m.Payload.(acquireReq)
 		if len(req.Piggyback) > 0 {
-			n.dropHints(req.Piggyback)
 			n.hooks.ApplyManifests(req.Piggyback, req.Requester)
 		}
 		rep, err := n.serveAcquire(req)
@@ -373,24 +355,8 @@ func (n *Node) HandleAsync(m transport.Msg) {
 	switch m.Kind {
 	case KindLocUpdate:
 		lm := m.Payload.(LocMsg)
-		n.dropHints(lm.Manifests)
 		n.hooks.ApplyManifests(lm.Manifests, lm.From)
 		n.forwardManifests(lm.O, lm.Manifests, m.Class)
-		n.flushLocOutbox(m.Class)
-	case KindLocBatch:
-		// A coalesced batch is its entries in queue order: applying and
-		// re-forwarding each in turn is equivalent to receiving the
-		// individual KindLocUpdate messages in that order. The re-forwards
-		// coalesce again (per destination, across objects), so a batch
-		// travelling down a distributed copy-set stays batched.
-		bm := m.Payload.(LocBatchMsg)
-		n.stats().Add("dsm.locUpdate.batchesRecv", 1)
-		for _, e := range bm.Entries {
-			n.dropHints(e.Manifests)
-			n.hooks.ApplyManifests(e.Manifests, e.From)
-			n.forwardManifests(e.O, e.Manifests, m.Class)
-		}
-		n.flushLocOutbox(m.Class)
 	}
 }
 
@@ -428,16 +394,7 @@ func (n *Node) forwardAcquire(req acquireReq, st *ObjState) (acquireReply, error
 		// (ownership of one object cannot move while its acquire chain
 		// runs), so when no unvisited candidate remains, no owner exists
 		// anywhere and the requester must re-establish the object instead.
-		// A cached granter hint the chain has not visited is tried first —
-		// it is fresher than the directory's candidates. ErrNoOwner's
-		// exhaustiveness is untouched: it is still only concluded when
-		// routeAround itself finds no unvisited candidate.
-		alt := addr.NoNode
-		if h, ok := n.cachedHint(req.O); ok && h != n.id && !inVia(seen, h) {
-			alt = h
-		} else {
-			alt = n.routeAround(req.O, seen)
-		}
+		alt := n.routeAround(req.O, seen)
 		if alt == addr.NoNode {
 			n.stats().Add("dsm.route.exhausted", 1)
 			return acquireReply{}, fmt.Errorf("dsm: %v cannot route %v request for %v (path %s): %w",
@@ -471,12 +428,6 @@ func (n *Node) forwardAcquire(req acquireReq, st *ObjState) (acquireReply, error
 		// reports itself so the new owner records the entering ownerPtr.
 		st.OwnerPtr = req.Requester
 		rep.Path = append(rep.Path, PathEntry{Node: n.id, Gen: n.hooks.NextTableGen(st.Bunch)})
-	} else {
-		// Read forwards leave the ownerPtr alone (the granter may be any
-		// read-copy holder, not the owner), but the granter is still a
-		// fresher chain entry point than whatever this node routes by —
-		// exactly what the hint cache is for.
-		n.noteHint(req.O, rep.Granter)
 	}
 	return rep, nil
 }
@@ -683,16 +634,31 @@ func (n *Node) forwardManifests(o addr.OID, ms []Manifest, class transport.Class
 	members, put := n.takeSorted(st.CopySet)
 	defer put()
 	for _, c := range members {
-		if n.coalesceLoc {
-			// Coalescing: queue into the per-destination outbox; the
-			// enclosing bracket flushes one KindLocBatch per destination.
-			n.queueLocUpdate(c, LocMsg{O: o, From: n.id, Manifests: ms}, pb)
-			continue
-		}
 		n.net.Send(transport.Msg{
 			From: n.id, To: c, Kind: KindLocUpdate, Class: class,
 			Payload: LocMsg{O: o, From: n.id, Manifests: ms},
 			Bytes:   8 + pb, Piggyback: pb,
 		})
 	}
+}
+
+// takeSorted fills the node's reusable scratch buffer with the set's
+// members, sorted — the allocation-free variant of sortedNodes for the hot
+// send paths (invalidate and locUpdate fan-out). The returned put func
+// hands the buffer back. Take-and-clear, not plain reuse: the node lock is
+// released around outbound synchronous calls, so a re-entrant handler on
+// this node can reach another fan-out while the outer one still iterates —
+// it finds the field nil and allocates fresh instead of clobbering.
+func (n *Node) takeSorted(set map[addr.NodeID]bool) ([]addr.NodeID, func()) {
+	buf := n.scratch
+	n.scratch = nil
+	if buf == nil {
+		buf = make([]addr.NodeID, 0, 8)
+	}
+	buf = buf[:0]
+	for id := range set {
+		buf = append(buf, id)
+	}
+	slices.Sort(buf)
+	return buf, func() { n.scratch = buf }
 }

@@ -53,21 +53,13 @@ func newObjState(b addr.BunchID) *ObjState {
 }
 
 // state returns the node's state for o, creating an invalid-mode entry
-// routed at the directory's owner hint if the object was never seen. With
-// the hint cache enabled a remembered granter outranks the directory's
-// allocation-site hint: it is the hot ownerPtr lookup the cache exists to
-// shortcut, and being advisory a stale entry is no worse than the stale
-// ownerPtr the routing machinery already tolerates.
+// routed at the directory's owner hint if the object was never seen.
 func (n *Node) state(o addr.OID) *ObjState {
 	if st, ok := n.objs[o]; ok {
 		return st
 	}
 	st := newObjState(n.hooks.BunchOf(o))
-	if h, ok := n.cachedHint(o); ok {
-		st.OwnerPtr = h
-	} else {
-		st.OwnerPtr = n.hooks.OwnerHint(o)
-	}
+	st.OwnerPtr = n.hooks.OwnerHint(o)
 	n.objs[o] = st
 	return st
 }

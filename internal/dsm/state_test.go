@@ -175,3 +175,26 @@ func TestUnknownMessageKinds(t *testing.T) {
 	// Unknown async kinds are ignored silently.
 	n.HandleAsync(simnet.Msg{Kind: "dsm.bogus"})
 }
+
+func TestTakeSortedScratchReuse(t *testing.T) {
+	env := newFakeEnv(t, 1)
+	n := env.nodes[0]
+	set := map[addr.NodeID]bool{3: true, 1: true, 2: true}
+	buf1, put1 := n.takeSorted(set)
+	if len(buf1) != 3 || buf1[0] != 1 || buf1[1] != 2 || buf1[2] != 3 {
+		t.Fatalf("sorted = %v", buf1)
+	}
+	// A nested take (re-entrant handler during an outbound call) must get
+	// its own buffer, not clobber the outer iteration.
+	buf2, put2 := n.takeSorted(set)
+	if &buf1[0] == &buf2[0] {
+		t.Fatal("nested takeSorted reused the outer buffer")
+	}
+	put2()
+	put1()
+	buf3, put3 := n.takeSorted(set)
+	put3()
+	if len(buf3) != 3 || buf3[0] != 1 || buf3[2] != 3 {
+		t.Fatalf("reused buffer sorted = %v", buf3)
+	}
+}

@@ -16,7 +16,6 @@ const (
 	tagAcquireReply
 	tagInvalidateReq
 	tagLocMsg
-	tagLocBatchMsg
 )
 
 func init() {
@@ -24,7 +23,6 @@ func init() {
 	transport.RegisterPayload(tagAcquireReply, appendAcquireReply, readAcquireReply)
 	transport.RegisterPayload(tagInvalidateReq, appendInvalidateReq, readInvalidateReq)
 	transport.RegisterPayload(tagLocMsg, appendLocMsg, readLocMsg)
-	transport.RegisterPayload(tagLocBatchMsg, appendLocBatchMsg, readLocBatchMsg)
 	transport.RegisterWireError("dsm.noOwner", ErrNoOwner)
 }
 
@@ -168,12 +166,4 @@ func appendLocMsg(dst []byte, m LocMsg) []byte {
 
 func readLocMsg(r *transport.WireReader) LocMsg {
 	return LocMsg{O: transport.ReadUint[addr.OID](r), From: r.NodeID(), Manifests: ReadManifests(r)}
-}
-
-func appendLocBatchMsg(dst []byte, m LocBatchMsg) []byte {
-	return transport.AppendSlice(transport.AppendNodeID(dst, m.From), m.Entries, appendLocMsg)
-}
-
-func readLocBatchMsg(r *transport.WireReader) LocBatchMsg {
-	return LocBatchMsg{From: r.NodeID(), Entries: transport.ReadSlice(r, 3, readLocMsg)}
 }

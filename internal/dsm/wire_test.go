@@ -27,10 +27,8 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 				Replicate: []ReplicatedStub{{SrcOID: 1, TargetOID: 2, TargetBunch: 3}}},
 			Granter: addr.NoNode, Hops: -1, Path: []PathEntry{{Node: 0, Gen: 4}, {Node: 2}}},
 		acquireReply{Image: ObjectImage{Words: []uint64{}, RefMask: []bool{}}, Intra: &IntraSSPReq{}},
-		invalidateReq{O: math.MaxUint64, Class: transport.ClassPlace},
+		invalidateReq{O: math.MaxUint64, Class: transport.ClassGC},
 		LocMsg{O: 1, From: 2, Manifests: []Manifest{m, m}},
-		LocBatchMsg{From: 1, Entries: []LocMsg{{O: 1, From: 1}, {Manifests: []Manifest{}}}},
-		LocBatchMsg{Entries: []LocMsg{}},
 	} {
 		wiretest.RoundTrip(t, v)
 	}

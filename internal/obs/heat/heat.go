@@ -8,10 +8,10 @@
 // heat.Of(stats.Observer()) with no constructor churn, and while disabled
 // every note is a single atomic load — the event rings' contract.
 //
-// The table is the measurement half of locality-aware placement (ROADMAP):
-// the analyzer in report.go turns a snapshot into remote-access ratios per
-// object, bunch and node, and a dominant-writer vs current-owner mismatch
-// list ranked by wasted hops — concrete migration advice.
+// The table measures access locality: the analyzer in report.go turns a
+// snapshot into remote-access ratios per object, bunch and node, and a
+// dominant-writer vs current-owner mismatch list ranked by wasted hops —
+// concrete migration advice for an operator to read.
 package heat
 
 import (

@@ -8,7 +8,8 @@ import (
 // LocalityReport is the analyzer's output: remote-access ratios per object,
 // bunch and node, plus the dominant-writer vs current-owner mismatch list —
 // ranked by wasted hops, so the top entry is the single most profitable
-// migration the placement layer could make.
+// ownership move. The list is advice for an operator: nothing in BMX moves
+// ownership on its own.
 type LocalityReport struct {
 	TrackedObjects int     `json:"tracked_objects"`
 	TotalAccesses  uint64  `json:"total_accesses"`
@@ -96,14 +97,13 @@ func ratio(part, whole uint64) float64 {
 	return float64(part) / float64(whole)
 }
 
-// MoreDominant is THE dominant-writer selection rule, shared by the
-// analyzer's migration advice and the placement engine acting on it so the
-// two can never disagree: a candidate node with `writes` writes displaces
-// the current dominant writer (domNode with domWrites writes, domNode < 0
-// while none was seen) when it has strictly more writes, or the same
-// non-zero count and a lower node id. The fixed tie-break keeps
-// multi-process merges byte-for-byte deterministic.
-func MoreDominant(node int32, writes uint64, domNode int32, domWrites uint64) bool {
+// moreDominant is the dominant-writer selection rule behind the migration
+// advice: a candidate node with `writes` writes displaces the current
+// dominant writer (domNode with domWrites writes, domNode < 0 while none
+// was seen) when it has strictly more writes, or the same non-zero count
+// and a lower node id. The fixed tie-break keeps multi-process merges
+// byte-for-byte deterministic.
+func moreDominant(node int32, writes uint64, domNode int32, domWrites uint64) bool {
 	return writes > domWrites || (writes == domWrites && writes > 0 && domNode >= 0 && node < domNode)
 }
 
@@ -150,7 +150,7 @@ func Analyze(rows []Row) LocalityReport {
 		if r.Owner != nil && (!o.hasOwner || r.OwnerTick >= o.ownerTick) {
 			o.owner, o.ownerTick, o.hasOwner = *r.Owner, r.OwnerTick, true
 		}
-		if MoreDominant(r.Node, r.Writes, o.domNode, o.domWrites) {
+		if moreDominant(r.Node, r.Writes, o.domNode, o.domWrites) {
 			o.domNode, o.domWrites = r.Node, r.Writes
 		}
 

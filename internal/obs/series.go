@@ -202,8 +202,8 @@ type BenchSummary struct {
 	SyncsPerFlip          float64 `json:"syncs_per_flip"`
 	LogBytesPerCollection float64 `json:"log_bytes_per_collection"`
 	// RemoteAccessRatio is the fraction of token acquires that left the
-	// requesting node (travelled the owner chain): the locality figure
-	// placement optimizes. OwnerMismatchCount is how many objects ended the
+	// requesting node (travelled the owner chain): the run's locality
+	// figure. OwnerMismatchCount is how many objects ended the
 	// run owned by a node other than their dominant writer — the heat
 	// table's migration-advice list, sized (filled by the driver from the
 	// merged heat rows; BenchOf leaves it zero without them).
@@ -258,12 +258,7 @@ func BenchOf(samples []Sample) BenchSummary {
 		b.Series[name] = qs
 	}
 	ops := b.Counters["dsm.acquire.r.app"] + b.Counters["dsm.acquire.w.app"]
-	// Placement-class traffic (proactive ownership migrations) counts toward
-	// the message total: a migration that shaved remote acquires but spent
-	// more messages than it saved must show up in msgs/op, not hide in an
-	// unaccounted class. Zero in runs without the placement engine, so old
-	// envelopes are unchanged.
-	msgs := b.Counters["msg.sent.app"] + b.Counters["msg.sent.gc"] + b.Counters["msg.sent.place"]
+	msgs := b.Counters["msg.sent.app"] + b.Counters["msg.sent.gc"]
 	if ops > 0 {
 		b.MsgsPerMutatorOp = float64(msgs) / float64(ops)
 	}

@@ -76,14 +76,6 @@ const (
 	// Seed-side control call in multi-process mode (cluster.Peer.Control).
 	OpCtl // ctl.drive
 
-	// Placement-engine migration (internal/cluster, driven at the Run
-	// boundary). Deliberately NOT a mutator op: migrations never ride the
-	// application's critical path.
-	OpPlaceMigrate // place.migrate
-
-	// Service of a coalesced location-update batch (dsm.locBatch).
-	OpServeLocBatch
-
 	numSpanOps
 )
 
@@ -114,8 +106,6 @@ var opNames = [...]string{
 	OpGCReclaim:       "gc.phase.reclaim",
 	OpGCFlush:         "gc.phase.flush",
 	OpCtl:             "ctl.drive",
-	OpPlaceMigrate:    "place.migrate",
-	OpServeLocBatch:   "serve.locBatch",
 }
 
 // String names the operation with its layer prefix.
@@ -147,8 +137,6 @@ func ServeOpOf(kind string) SpanOp {
 		return OpServeInvalidate
 	case "dsm.locUpdate":
 		return OpServeLocUpdate
-	case "dsm.locBatch":
-		return OpServeLocBatch
 	case "gc.scion":
 		return OpServeScion
 	case "gc.table":

@@ -93,6 +93,7 @@ var (
 	errFrameTooBig = errors.New("tcp: frame exceeds MaxFrameBytes")
 	errFrameEmpty  = errors.New("tcp: empty frame")
 	errFrameType   = errors.New("tcp: unknown frame type")
+	errFrameClass  = errors.New("tcp: unknown traffic class")
 )
 
 // appendFrame appends the length-prefixed wire encoding of f to dst.
@@ -166,7 +167,11 @@ func decodeFrame(body []byte) (frame, error) {
 		f.From = r.NodeID()
 		f.To = r.NodeID()
 		f.Kind = r.Str()
-		f.Class = transport.Class(r.Byte())
+		// Only app and gc traffic exist: a frame under any other class
+		// would escape the per-class message counts and the §5 probes.
+		if f.Class = transport.Class(r.Byte()); f.Class != transport.ClassApp && f.Class != transport.ClassGC {
+			return f, fmt.Errorf("%w: %d", errFrameClass, f.Class)
+		}
 		if seq := r.Uvarint(); f.Type == frameMsg {
 			f.Seq = seq
 		} else {

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -61,6 +62,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
+	f.Add(classFrame(f, frameCall, 2)[4:]) // a class no traffic uses
 	f.Add([]byte{byte(frameMsg), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)
@@ -124,6 +126,36 @@ func TestFrameSpanEncoding(t *testing.T) {
 	for cut := len(plain) + 1; cut < len(wire); cut++ {
 		if _, err := decodeFrame(wire[4:cut]); err == nil {
 			t.Fatalf("torn span at %d/%d decoded successfully", cut, len(wire))
+		}
+	}
+}
+
+// classFrame encodes a well-formed msg or call frame under class c; the
+// encoder writes whatever class it is given.
+func classFrame(t testing.TB, typ frameType, c transport.Class) []byte {
+	t.Helper()
+	buf, err := appendFrame(nil, &frame{Type: typ, Tick: 5, From: 1, To: 2,
+		Kind: "dsm.acquire", Class: c, Seq: 3, ReqID: 3, Bytes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// Only the app and gc classes decode: any other class byte on a msg or
+// call frame is rejected, so no message can travel under a class the
+// per-class counters and the §5 probes never see.
+func TestDecodeFrameRejectsUnknownClass(t *testing.T) {
+	for _, typ := range []frameType{frameMsg, frameCall} {
+		for _, c := range []transport.Class{transport.ClassApp, transport.ClassGC} {
+			if _, err := decodeFrame(classFrame(t, typ, c)[4:]); err != nil {
+				t.Fatalf("type %d class %v: %v", typ, c, err)
+			}
+		}
+		for _, c := range []transport.Class{2, 3, 255} {
+			if _, err := decodeFrame(classFrame(t, typ, c)[4:]); !errors.Is(err, errFrameClass) {
+				t.Fatalf("type %d class byte %d: err = %v, want errFrameClass", typ, c, err)
+			}
 		}
 	}
 }

@@ -32,10 +32,6 @@ func BenchmarkPayloadCodec(b *testing.B) {
 		}
 		return out
 	}
-	batch := dsm.LocBatchMsg{From: 1}
-	for i := 0; i < 8; i++ {
-		batch.Entries = append(batch.Entries, dsm.LocMsg{O: addr.OID(100 + i), From: 1, Manifests: mans(1)})
-	}
 	segs := make([]addr.SegID, 16)
 	for i := range segs {
 		segs[i] = addr.SegID(40 + i)
@@ -51,7 +47,6 @@ func BenchmarkPayloadCodec(b *testing.B) {
 		{"ping", []uint64{0x100, 0x101, 0x102, 0x103}},
 		{"ping-reply", uint64(0x406)},
 		{"LocMsg", dsm.LocMsg{O: 100, From: 1, Manifests: mans(2)}},
-		{"LocBatchMsg", batch},
 		{"LocFlushMsg", core.LocFlushMsg{From: 1, Manifests: mans(16)}},
 		{"CopyOutReply", core.CopyOutReply{Manifests: mans(8), NotOwned: map[addr.OID]addr.NodeID{300: 0, 301: 2}}},
 		{"AddrChangeMsg", core.AddrChangeMsg{From: 1, Bunch: 1, Segs: segs, Manifests: mans(16)}},

@@ -43,8 +43,13 @@ func TestWireErrorUnknownName(t *testing.T) {
 	}
 }
 
+// errTestSentinelA is package-level because the wire-error registry is
+// process-global: a fresh value per run would conflict with the one the
+// previous run registered (go test -count=2).
+var errTestSentinelA = errors.New("sentinel A")
+
 func TestRegisterWireErrorIdempotentAndConflict(t *testing.T) {
-	errA := errors.New("sentinel A")
+	errA := errTestSentinelA
 	RegisterWireError("test.sentinelA", errA)
 	RegisterWireError("test.sentinelA", errA) // same value: no-op
 
